@@ -17,7 +17,7 @@ thread-scheduling hiccup does not mask a real single-thread regression.
 
 Usage:
   bench_compare.py --baseline-dir bench/baselines [--current-dir .] \
-      BENCH_forest_predict.json BENCH_csv_scan.json ...
+      BENCH_csv_scan.json BENCH_parallel.json ...
 """
 
 import argparse
@@ -38,11 +38,6 @@ OVERRIDES = [
     # Thread-scaling speedups depend on the runner's scheduler; give them
     # headroom so only a real scaling collapse trips the gate.
     ("parallel_scaling/*speedup*", (15.0, 30.0, 0.0)),
-    # Forest-engine speedups depend on the runner's cache hierarchy (the
-    # flat layout's win is a working-set effect); the bench's own
-    # absolute >= 1.5x gate is the hard floor, so the relative gate only
-    # needs to catch a collapse.
-    ("forest_predict/*speedup*", (15.0, 30.0, 0.0)),
     # Per-workload kernel ratios wobble a few percent run to run.
     ("csv_scan/*_vs_scalar", (10.0, 20.0, 0.0)),
     ("csv_scan/swar_speedup_clean_numeric", (10.0, 20.0, 0.0)),
@@ -86,18 +81,6 @@ def thresholds_for(metric):
 
 def host_dependent(metric):
     return any(fnmatch.fnmatch(metric, p) for p in HOST_DEPENDENT)
-
-
-def metrics_forest_predict(doc):
-    ratios = doc.get("ratios", {})
-    return {
-        "speedup_flat_vs_pointer":
-            (ratios.get("speedup_flat_vs_pointer"), HIGHER_BETTER),
-        "speedup_batched_vs_single":
-            (ratios.get("speedup_batched_vs_single"), HIGHER_BETTER),
-        "speedup_flat_vs_single":
-            (ratios.get("speedup_flat_vs_single"), HIGHER_BETTER),
-    }
 
 
 def metrics_csv_scan(doc):
@@ -155,7 +138,6 @@ def metrics_csv_large(doc):
 
 
 EXTRACTORS = {
-    "forest_predict": metrics_forest_predict,
     "csv_scan": metrics_csv_scan,
     "parallel_scaling": metrics_parallel_scaling,
     "trace_overhead": metrics_trace_overhead,

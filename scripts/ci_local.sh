@@ -58,18 +58,10 @@ done
 echo "=== sanitizer gate ==="
 "$repo_root/scripts/sanitize_gate.sh" "$prefix-asan"
 
-echo "=== forest predict bench smoke ==="
 release_dir="$prefix-gcc-release"
 [ -d "$release_dir" ] || release_dir="$prefix-clang-release"
 cmake --build "$release_dir" -j "$(nproc)" \
-    --target bench_forest_predict bench_parallel_scaling \
-             bench_csv_throughput
-# Matches CI's bench-gate job: bit-identity cross-check, then the
-# batched-flat >= 1.5x batched-pointer claim, medians over 5 repeats at
-# a pinned thread count.
-"$release_dir/bench/bench_forest_predict" --quick --threads 2 \
-    --repeats 5 --out "$repo_root/BENCH_forest_predict.json" \
-    --min-speedup 1.5
+    --target bench_parallel_scaling bench_csv_throughput
 
 echo "=== parallel scaling bench smoke ==="
 # Matches CI: BENCH_parallel.json plus the 1.5x 4-thread forest-fit gate
@@ -97,7 +89,6 @@ echo "=== bench baseline comparison ==="
 python3 "$repo_root/scripts/bench_compare.py" \
     --baseline-dir "$repo_root/bench/baselines" \
     --current-dir "$repo_root" \
-    BENCH_forest_predict.json BENCH_csv_scan.json BENCH_parallel.json \
-    BENCH_trace_overhead.json
+    BENCH_csv_scan.json BENCH_parallel.json BENCH_trace_overhead.json
 
 echo "=== ci_local: all gates passed ==="

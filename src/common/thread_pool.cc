@@ -71,7 +71,7 @@ ThreadPool& ThreadPool::Shared() {
 }
 
 int ThreadPool::ResolveThreadCount(int requested) {
-  if (requested > 0) return requested;
+  if (requested != 0) return std::max(1, requested);
   const unsigned hardware = std::thread::hardware_concurrency();
   return hardware > 0 ? static_cast<int>(hardware) : 1;
 }

@@ -181,13 +181,6 @@ std::vector<double> DecisionTree::PredictProba(
   if (nodes_.empty()) {
     return std::vector<double>(static_cast<size_t>(num_classes_), 0.0);
   }
-  const std::span<const double> leaf = PredictLeaf(features);
-  return std::vector<double>(leaf.begin(), leaf.end());
-}
-
-std::span<const double> DecisionTree::PredictLeaf(
-    std::span<const double> features) const {
-  if (nodes_.empty()) return {};
   const Node* node = &nodes_[0];
   while (node->left >= 0) {
     const double v = features[static_cast<size_t>(node->feature)];

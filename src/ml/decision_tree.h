@@ -63,11 +63,6 @@ class DecisionTree final : public Classifier {
   std::vector<double> PredictProba(
       std::span<const double> features) const override;
 
-  /// Walks to the leaf for `features` and returns a view of its class
-  /// distribution — the allocation-free core of PredictProba, used by the
-  /// forest's bulk pointer-walking path. Empty span on an unfitted tree.
-  std::span<const double> PredictLeaf(std::span<const double> features) const;
-
   int num_classes() const override { return num_classes_; }
   std::unique_ptr<Classifier> CloneUntrained() const override;
 

@@ -1,24 +1,9 @@
 #include "ml/flat_forest.h"
 
 #include <algorithm>
-#include <cmath>
-#include <sstream>
-#include <string>
 #include <utility>
 
 namespace strudel::ml {
-
-namespace {
-
-// Plausibility caps for Parse, mirroring the tree/forest loaders: an
-// inflated header must not force a huge allocation before the payload
-// runs dry (buffers also grow incrementally below).
-constexpr int kMaxClasses = 1'000'000;
-constexpr size_t kMaxFeatures = 10'000'000;
-constexpr int kMaxTrees = 100'000;
-constexpr size_t kMaxNodes = 100'000'000;
-
-}  // namespace
 
 void FlatForest::Clear() {
   num_classes_ = 0;
@@ -68,7 +53,7 @@ void FlatForest::Build(const std::vector<DecisionTree>& trees,
 
     if (nodes.empty()) {
       // Defensive: an unfitted tree predicts all-zeros; give it a zero
-      // leaf so both engines add the same (nothing) for it.
+      // leaf so the walk adds nothing for it, as DecisionTree does.
       roots_.push_back(~AddLeaf({}));
       continue;
     }
@@ -104,10 +89,11 @@ void FlatForest::PredictBlock(const Matrix& features, size_t row_begin,
   // reaches its leaf early idles branchlessly on node 0 — a hot line, so
   // the wasted loads are free — until its partner finishes. Per row the
   // accumulation is still one leaf add per tree in tree order, the same
-  // operation sequence as the pointer engine, so results stay
-  // bit-identical. The layout does the rest of the work: one 24-byte
-  // node per step against the pointer trees' 64-byte nodes, and a dense
-  // leaf-probability matrix against a heap-scattered vector per leaf.
+  // operation sequence as PredictProba and as summing the trees'
+  // DecisionTree::PredictProba, so results stay bit-identical. The layout
+  // does the rest of the work: one 24-byte node per step against the
+  // trees' 64-byte nodes, and a dense leaf-probability matrix against a
+  // heap-scattered vector per leaf.
   size_t r = 0;
   for (; r + 1 < n; r += 2) {
     const double* row0 = features.row(row_begin + r).data();
@@ -125,7 +111,7 @@ void FlatForest::PredictBlock(const Matrix& features, size_t row_begin,
           const Node& n0 = nodes[static_cast<size_t>(std::max(ref0, 0))];
           const Node& n1 = nodes[static_cast<size_t>(std::max(ref1, 0))];
           // NaN compares false, so NaN features take the right child —
-          // exactly the pointer walk's branch.
+          // exactly DecisionTree's branch.
           const int32_t step0 =
               row0[static_cast<size_t>(n0.feature)] <= n0.threshold
                   ? n0.left
@@ -182,142 +168,6 @@ std::vector<double> FlatForest::PredictProba(
   const double scale = 1.0 / static_cast<double>(num_trees_);
   for (double& p : proba) p *= scale;
   return proba;
-}
-
-std::string FlatForest::Serialize() const {
-  std::ostringstream out;
-  out.precision(17);
-  out << "flat v1 " << num_classes_ << ' ' << num_features_ << ' '
-      << num_trees_ << ' ' << nodes_.size() << ' ' << num_leaves() << '\n';
-  for (size_t t = 0; t < roots_.size(); ++t) {
-    out << (t > 0 ? " " : "") << roots_[t];
-  }
-  if (!roots_.empty()) out << '\n';
-  for (const Node& node : nodes_) {
-    out << node.feature << ' ' << node.threshold << ' ' << node.left << ' '
-        << node.right << '\n';
-  }
-  const size_t k = static_cast<size_t>(num_classes_);
-  for (size_t l = 0; l < num_leaves(); ++l) {
-    for (size_t c = 0; c < k; ++c) {
-      out << (c > 0 ? " " : "") << leaf_proba_[l * k + c];
-    }
-    out << '\n';
-  }
-  return std::move(out).str();
-}
-
-Result<FlatForest> FlatForest::Parse(std::string_view payload) {
-  std::istringstream in{std::string(payload)};
-  std::string magic, version;
-  int num_classes = 0;
-  size_t num_features = 0;
-  int num_trees = 0;
-  size_t num_internal = 0;
-  size_t num_leaves = 0;
-  in >> magic >> version >> num_classes >> num_features >> num_trees >>
-      num_internal >> num_leaves;
-  if (!in || magic != "flat" || version != "v1") {
-    return Status::CorruptModel("flat forest: bad header");
-  }
-  if (num_trees < 0 || num_trees > kMaxTrees) {
-    return Status::CorruptModel("flat forest: implausible tree count " +
-                                std::to_string(num_trees));
-  }
-  if (num_trees == 0) {
-    if (num_classes != 0 || num_features != 0 || num_internal != 0 ||
-        num_leaves != 0) {
-      return Status::CorruptModel("flat forest: non-empty payload on an "
-                                  "empty forest");
-    }
-    return FlatForest();
-  }
-  if (num_classes < 1 || num_classes > kMaxClasses) {
-    return Status::CorruptModel("flat forest: implausible class count " +
-                                std::to_string(num_classes));
-  }
-  if (num_features < 1 || num_features > kMaxFeatures) {
-    return Status::CorruptModel("flat forest: implausible feature count " +
-                                std::to_string(num_features));
-  }
-  if (num_internal > kMaxNodes || num_leaves > kMaxNodes) {
-    return Status::CorruptModel("flat forest: implausible node count");
-  }
-  // Every internal CART node has exactly two children, so each tree has
-  // internal + 1 leaves — a structural invariant a corruptor must satisfy
-  // exactly to get past the header.
-  if (num_leaves != num_internal + static_cast<size_t>(num_trees)) {
-    return Status::CorruptModel(
-        "flat forest: leaf count violates the strict-binary-tree invariant");
-  }
-
-  FlatForest flat;
-  flat.num_classes_ = num_classes;
-  flat.num_features_ = num_features;
-  flat.num_trees_ = num_trees;
-
-  // A child reference is either an internal index in (parent, num_internal)
-  // — strictly greater than the referencing node, which is what makes
-  // traversal provably acyclic — or ~leaf with leaf in [0, num_leaves).
-  auto check_ref = [&](long long ref, long long after) -> bool {
-    if (ref >= 0) {
-      return ref > after && ref < static_cast<long long>(num_internal);
-    }
-    const long long leaf = ~ref;
-    return leaf >= 0 && leaf < static_cast<long long>(num_leaves);
-  };
-
-  flat.roots_.reserve(static_cast<size_t>(num_trees));
-  for (int t = 0; t < num_trees; ++t) {
-    long long ref = 0;
-    in >> ref;
-    if (!in) return Status::CorruptModel("flat forest: truncated roots");
-    if (!check_ref(ref, -1)) {
-      return Status::CorruptModel("flat forest: root reference out of range");
-    }
-    flat.roots_.push_back(static_cast<int32_t>(ref));
-  }
-
-  // Grow incrementally rather than trusting the claimed counts up front.
-  flat.nodes_.reserve(std::min<size_t>(num_internal, 4096));
-  for (size_t i = 0; i < num_internal; ++i) {
-    long long feature = 0, left = 0, right = 0;
-    double threshold = 0.0;
-    in >> feature >> threshold >> left >> right;
-    if (!in) return Status::CorruptModel("flat forest: truncated node");
-    if (feature < 0 || feature >= static_cast<long long>(num_features)) {
-      return Status::CorruptModel("flat forest: split feature out of range");
-    }
-    if (!std::isfinite(threshold)) {
-      return Status::CorruptModel("flat forest: non-finite threshold");
-    }
-    const long long self = static_cast<long long>(i);
-    if (!check_ref(left, self) || !check_ref(right, self)) {
-      return Status::CorruptModel("flat forest: child reference out of range");
-    }
-    flat.nodes_.push_back(Node{threshold, static_cast<int32_t>(feature),
-                               static_cast<int32_t>(left),
-                               static_cast<int32_t>(right)});
-  }
-
-  const size_t k = static_cast<size_t>(num_classes);
-  flat.leaf_proba_.reserve(std::min<size_t>(num_leaves * k, 4096));
-  for (size_t l = 0; l < num_leaves; ++l) {
-    for (size_t c = 0; c < k; ++c) {
-      double p = 0.0;
-      in >> p;
-      if (!in || !std::isfinite(p) || p < 0.0 || p > 1.0 + 1e-9) {
-        return Status::CorruptModel("flat forest: invalid leaf distribution");
-      }
-      flat.leaf_proba_.push_back(p);
-    }
-  }
-
-  in >> std::ws;
-  if (in.peek() != std::char_traits<char>::eof()) {
-    return Status::CorruptModel("flat forest: trailing data after payload");
-  }
-  return flat;
 }
 
 }  // namespace strudel::ml

@@ -1,27 +1,30 @@
-// FlatForest: the inference fast path of the random forest.
+// FlatForest: the one inference path of the random forest.
 //
-// A trained forest is a vector of pointer-walked CART trees whose nodes
-// live wherever the per-tree `std::vector<Node>` allocations landed, each
-// node a 64-byte record carrying a heap-allocated class distribution —
-// cache hostile when every line and every cell of a corpus walks every
-// tree. FlatForest compacts the whole forest once (at Fit or model-load
-// time) into one contiguous array of packed 24-byte internal nodes
-// (threshold, feature index, left child, right child — everything one
-// traversal step reads, in one cache line) laid out breadth-first per
-// tree, plus one dense `num_leaves x num_classes` matrix of leaf
-// distributions.
+// A trained forest is a vector of CART trees whose nodes live wherever
+// the per-tree `std::vector<Node>` allocations landed, each node a
+// 64-byte record carrying a heap-allocated class distribution — cache
+// hostile when every line and every cell of a corpus walks every tree.
+// FlatForest compacts the whole forest once (at Fit or model-load time)
+// into one contiguous array of packed 24-byte internal nodes (threshold,
+// feature index, left child, right child — everything one traversal step
+// reads, in one cache line) laid out breadth-first per tree, plus one
+// dense `num_leaves x num_classes` matrix of leaf distributions. The
+// layout is never serialised: model files carry only the trees.
 // A child reference >= 0 is an internal-node index; a negative reference
-// encodes a leaf as `~leaf_index`. BFS order makes every internal child
-// index strictly greater than its parent's, so traversal provably
-// terminates — Parse enforces that invariant, which is what lets a
-// corrupted section fail cleanly instead of looping.
+// encodes a leaf as `~leaf_index`. Traversal provably terminates because
+// of two invariants. DecisionTree::Load rejects any tree whose children
+// do not come strictly after their parent, so every source tree is
+// acyclic. Build then assigns internal indices in BFS order, so every
+// internal child index is strictly greater than its parent's.
 //
-// Bit-identity with the pointer walk is by construction: both paths take
-// the same `value <= threshold` branches (NaN features go right in both),
-// land on the same leaf distribution (copied verbatim at Build), and the
-// forest accumulates leaf probabilities in tree order before one final
-// `*= 1/num_trees` — the identical IEEE-754 operation sequence per output
-// element. The differential suite (ctest -L differential) enforces this
+// Bit-identity with the trees is by construction: the walk takes the
+// same `value <= threshold` branches as DecisionTree::PredictProba (NaN
+// features go right in both), lands on the same leaf distribution (copied
+// verbatim at Build), and accumulates leaf probabilities in tree order
+// before one final `*= 1/num_trees`. Summing the trees'
+// DecisionTree::PredictProba the same way is the identical IEEE-754
+// operation sequence per output element. The differential suite
+// (ctest -L differential) holds the flat walk to that tree-summed oracle
 // at 1/2/8 threads and across save/load round-trips.
 
 #ifndef STRUDEL_ML_FLAT_FOREST_H_
@@ -29,12 +32,8 @@
 
 #include <cstdint>
 #include <span>
-#include <string>
-#include <string_view>
 #include <vector>
 
-#include "common/result.h"
-#include "common/status.h"
 #include "ml/decision_tree.h"
 #include "ml/matrix.h"
 
@@ -74,23 +73,14 @@ class FlatForest {
   /// Averaged class probabilities for rows [row_begin, row_end) of
   /// `features`, written row-major into `out` (which must hold
   /// (row_end - row_begin) * num_classes doubles). Each row walks the
-  /// trees in tree order — the same operation sequence as the pointer
-  /// engine, so the result is bit-identical to it; the flat engine's
-  /// speed comes from the packed layout, which keeps the whole forest
-  /// roughly 4x smaller than the pointer trees' working set.
+  /// trees in tree order, so the result is bit-identical to PredictProba;
+  /// the speed comes from the packed layout, which keeps the whole forest
+  /// roughly 4x smaller than the trees' working set.
   void PredictBlock(const Matrix& features, size_t row_begin, size_t row_end,
                     double* out) const;
 
-  /// Single-row probabilities; bit-identical to RandomForest::PredictProba.
+  /// Single-row probabilities (the forest's per-row PredictProba).
   std::vector<double> PredictProba(std::span<const double> features) const;
-
-  /// Text serialisation of the flat layout ("flat v1", precision 17).
-  /// Parse validates structure (bounds, finiteness, the BFS child-ordering
-  /// invariant, the strict-binary-tree leaf count) and fails with
-  /// kCorruptModel on any violation; the model loader additionally
-  /// requires equality with the forest rebuilt from the pointer trees.
-  std::string Serialize() const;
-  static Result<FlatForest> Parse(std::string_view payload);
 
   /// Exact comparison of layout and parameters (all values are finite, so
   /// double == is well-defined here).

@@ -133,39 +133,15 @@ Status RandomForest::Fit(const Dataset& data) {
 
 std::vector<double> RandomForest::PredictProba(
     std::span<const double> features) const {
-  std::vector<double> proba(static_cast<size_t>(num_classes_), 0.0);
-  if (trees_.empty()) return proba;
-  AccumulateProbaPointer(features, proba);
-  return proba;
+  if (flat_.empty()) {
+    return std::vector<double>(static_cast<size_t>(num_classes_), 0.0);
+  }
+  return flat_.PredictProba(features);
 }
 
-void RandomForest::AccumulateProbaPointer(std::span<const double> row,
-                                          std::span<double> acc) const {
-  // Same operation sequence as the historical per-row PredictProba: add
-  // each tree's leaf distribution in tree order, then scale once — which
-  // is also exactly what FlatForest::PredictBlock computes per element.
-  for (const DecisionTree& tree : trees_) {
-    const std::span<const double> leaf = tree.PredictLeaf(row);
-    for (size_t k = 0; k < leaf.size(); ++k) acc[k] += leaf[k];
-  }
-  const double scale = 1.0 / static_cast<double>(trees_.size());
-  for (double& p : acc) p *= scale;
-}
-
-Status RandomForest::TryPredictProbaAll(const Matrix& features,
-                                        ExecutionBudget* budget,
-                                        const char* budget_stage,
-                                        std::vector<std::vector<double>>* out,
-                                        ForestPredictEngine engine) const {
-  STRUDEL_TRACE_SPAN("forest.predict_all");
-  out->assign(features.rows(),
-              std::vector<double>(static_cast<size_t>(num_classes_), 0.0));
-  // An explicit kFlat request on an unbuilt layout is a caller error even
-  // for empty inputs, so this check precedes the early returns.
-  if (engine == ForestPredictEngine::kFlat && flat_.empty()) {
-    return Status::FailedPrecondition(
-        "random forest: flat forest not built");
-  }
+Status RandomForest::PredictChunks(
+    const Matrix& features, ExecutionBudget* budget, const char* budget_stage,
+    const std::function<void(size_t, size_t, const double*)>& emit) const {
   if (trees_.empty() || features.rows() == 0) return Status::OK();
   // Validation hoisted out of the row loop: every row of a Matrix has the
   // same width, so one check covers the whole batch.
@@ -178,8 +154,6 @@ Status RandomForest::TryPredictProbaAll(const Matrix& features,
   static metrics::Counter& rows_predicted =
       metrics::GetCounter("ml.forest_rows_predicted");
   rows_predicted.Add(features.rows());
-  const bool use_flat =
-      engine != ForestPredictEngine::kPointer && !flat_.empty();
   const size_t k = static_cast<size_t>(num_classes_);
   // Row-chunked voting: each chunk owns a disjoint slice of the output,
   // so the result is identical to the serial loop at any thread count.
@@ -189,75 +163,47 @@ Status RandomForest::TryPredictProbaAll(const Matrix& features,
         if (budget != nullptr) {
           STRUDEL_RETURN_IF_ERROR(budget->Charge(budget_stage, end - begin));
         }
-        if (use_flat) {
-          std::vector<double> block((end - begin) * k);
-          flat_.PredictBlock(features, begin, end, block.data());
-          for (size_t i = begin; i < end; ++i) {
-            std::copy_n(block.data() + (i - begin) * k, k, (*out)[i].data());
-          }
-        } else {
-          for (size_t i = begin; i < end; ++i) {
-            AccumulateProbaPointer(features.row(i), (*out)[i]);
-          }
-        }
+        std::vector<double> block((end - begin) * k);
+        flat_.PredictBlock(features, begin, end, block.data());
+        emit(begin, end, block.data());
         return Status::OK();
       },
       budget);
 }
 
+Status RandomForest::TryPredictProbaAll(
+    const Matrix& features, ExecutionBudget* budget, const char* budget_stage,
+    std::vector<std::vector<double>>* out) const {
+  STRUDEL_TRACE_SPAN("forest.predict_all");
+  const size_t k = static_cast<size_t>(num_classes_);
+  out->assign(features.rows(), std::vector<double>(k, 0.0));
+  return PredictChunks(
+      features, budget, budget_stage,
+      [&](size_t begin, size_t end, const double* block) {
+        for (size_t i = begin; i < end; ++i) {
+          std::copy_n(block + (i - begin) * k, k, (*out)[i].data());
+        }
+      });
+}
+
 Status RandomForest::TryPredictAll(const Matrix& features,
                                    ExecutionBudget* budget,
                                    const char* budget_stage,
-                                   std::vector<int>* out,
-                                   ForestPredictEngine engine) const {
+                                   std::vector<int>* out) const {
   STRUDEL_TRACE_SPAN("forest.predict_all");
-  out->assign(features.rows(), 0);
-  if (engine == ForestPredictEngine::kFlat && flat_.empty()) {
-    return Status::FailedPrecondition(
-        "random forest: flat forest not built");
-  }
-  if (trees_.empty() || features.rows() == 0) return Status::OK();
-  if (features.cols() != num_features()) {
-    return Status::InvalidArgument(
-        "random forest: feature count mismatch: matrix has " +
-        std::to_string(features.cols()) + " columns, forest expects " +
-        std::to_string(num_features()));
-  }
-  static metrics::Counter& rows_predicted =
-      metrics::GetCounter("ml.forest_rows_predicted");
-  rows_predicted.Add(features.rows());
-  const bool use_flat =
-      engine != ForestPredictEngine::kPointer && !flat_.empty();
   const size_t k = static_cast<size_t>(num_classes_);
+  out->assign(features.rows(), 0);
   // ArgMax ties resolve to the lowest index (std::max_element), matching
-  // common/math_util.h ArgMax — identical probabilities give identical
-  // classes on both engines.
-  return ParallelFor(
-      options_.num_threads, 0, features.rows(), kPredictChunkRows,
-      [&](size_t begin, size_t end) -> Status {
-        if (budget != nullptr) {
-          STRUDEL_RETURN_IF_ERROR(budget->Charge(budget_stage, end - begin));
+  // common/math_util.h ArgMax, so the classes equal the argmax of
+  // TryPredictProbaAll's probabilities.
+  return PredictChunks(
+      features, budget, budget_stage,
+      [&](size_t begin, size_t end, const double* block) {
+        for (size_t i = begin; i < end; ++i) {
+          const double* row = block + (i - begin) * k;
+          (*out)[i] = static_cast<int>(std::max_element(row, row + k) - row);
         }
-        if (use_flat) {
-          std::vector<double> block((end - begin) * k);
-          flat_.PredictBlock(features, begin, end, block.data());
-          for (size_t i = begin; i < end; ++i) {
-            const double* row = block.data() + (i - begin) * k;
-            (*out)[i] =
-                static_cast<int>(std::max_element(row, row + k) - row);
-          }
-        } else {
-          std::vector<double> acc(k);
-          for (size_t i = begin; i < end; ++i) {
-            std::fill(acc.begin(), acc.end(), 0.0);
-            AccumulateProbaPointer(features.row(i), acc);
-            (*out)[i] = static_cast<int>(
-                std::max_element(acc.begin(), acc.end()) - acc.begin());
-          }
-        }
-        return Status::OK();
-      },
-      budget);
+      });
 }
 
 std::vector<std::vector<double>> RandomForest::PredictProbaAll(

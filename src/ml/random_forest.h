@@ -14,6 +14,7 @@
 #ifndef STRUDEL_ML_RANDOM_FOREST_H_
 #define STRUDEL_ML_RANDOM_FOREST_H_
 
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -22,16 +23,6 @@
 #include "ml/flat_forest.h"
 
 namespace strudel::ml {
-
-/// Which prediction engine the bulk Try* paths use. kAuto takes the flat
-/// layout whenever it is built (always, after a successful Fit or Load);
-/// the explicit values exist for the differential tests and benchmarks
-/// that prove the two engines bit-identical and measure the gap.
-enum class ForestPredictEngine {
-  kAuto = 0,
-  kFlat = 1,
-  kPointer = 2,
-};
 
 struct RandomForestOptions {
   int num_trees = 100;
@@ -69,21 +60,22 @@ class RandomForest final : public Classifier {
 
   /// Budget-aware batched prediction: validates the feature count once,
   /// charges `budget_stage` one unit per row (chunk-batched), and walks
-  /// row chunks through the selected engine. Output is bit-identical for
-  /// every engine and thread count. `out` is resized/overwritten; on
-  /// error it holds all-zero probabilities (resp. class 0).
-  Status TryPredictProbaAll(
-      const Matrix& features, ExecutionBudget* budget,
-      const char* budget_stage, std::vector<std::vector<double>>* out,
-      ForestPredictEngine engine = ForestPredictEngine::kAuto) const;
-  Status TryPredictAll(
-      const Matrix& features, ExecutionBudget* budget,
-      const char* budget_stage, std::vector<int>* out,
-      ForestPredictEngine engine = ForestPredictEngine::kAuto) const;
+  /// row chunks through the flat forest. Output is bit-identical at every
+  /// thread count. `out` is resized/overwritten; on error it holds
+  /// all-zero probabilities (resp. class 0).
+  Status TryPredictProbaAll(const Matrix& features, ExecutionBudget* budget,
+                            const char* budget_stage,
+                            std::vector<std::vector<double>>* out) const;
+  Status TryPredictAll(const Matrix& features, ExecutionBudget* budget,
+                       const char* budget_stage, std::vector<int>* out) const;
 
   /// The flat compaction of the trained trees, rebuilt after every
-  /// successful Fit/Load; empty() when unfitted.
+  /// successful Fit/Load and used by every predict path; empty() when
+  /// unfitted.
   const FlatForest& flat_forest() const { return flat_; }
+
+  /// The trained trees, in tree order; empty when unfitted.
+  const std::vector<DecisionTree>& trees() const { return trees_; }
 
   /// Re-pins the worker count for the bulk predict paths (results are
   /// identical at any value). The strudel layer propagates its own
@@ -118,11 +110,14 @@ class RandomForest final : public Classifier {
   /// enough to balance load across workers on mid-sized tables.
   static constexpr size_t kPredictChunkRows = 64;
 
-  /// Accumulates the tree-order probability average for one row into
-  /// `acc` (pre-zeroed, num_classes wide) via the pointer walk — the
-  /// legacy engine with validation and allocation hoisted out.
-  void AccumulateProbaPointer(std::span<const double> row,
-                              std::span<double> acc) const;
+  /// Shared body of the Try*All paths: validates the batch, charges the
+  /// budget per chunk, and hands each row chunk's flat-forest
+  /// probabilities (row-major, num_classes wide) to `emit(begin, end,
+  /// block)`. Chunks write disjoint output rows.
+  Status PredictChunks(
+      const Matrix& features, ExecutionBudget* budget,
+      const char* budget_stage,
+      const std::function<void(size_t, size_t, const double*)>& emit) const;
 
   RandomForestOptions options_;
   std::vector<DecisionTree> trees_;

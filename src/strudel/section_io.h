@@ -97,10 +97,9 @@ inline Result<std::string> ReadSection(std::istream& in,
 }
 
 /// Reads a trailing optional section: clean end-of-stream means the
-/// section is absent (nullopt) — that is how files written before the
-/// section existed stay loadable — but any remaining content must parse
-/// as a full valid section named `name`. Partial or foreign trailing
-/// data is kCorruptModel, never silently ignored.
+/// section is absent (nullopt), but any remaining content must parse as
+/// a full valid section named `name`. Partial or foreign trailing data is
+/// kCorruptModel, never silently ignored.
 inline Result<std::optional<std::string>> ReadOptionalSection(
     std::istream& in, std::string_view name, size_t max_bytes) {
   in >> std::ws;
@@ -110,6 +109,26 @@ inline Result<std::optional<std::string>> ReadOptionalSection(
   Result<std::string> section = ReadSection(in, name, max_bytes);
   if (!section.ok()) return section.status();
   return std::optional<std::string>(std::move(section).value());
+}
+
+/// Reads the end of a model after its last section. Files written while
+/// models carried the flat inference layout end with one more
+/// `flat_forest` section; it is still framed, capped and checksum-verified
+/// like any section, then discarded, since loaders rebuild the layout
+/// from the trees. After that only whitespace may follow: model files end
+/// where their last section ends.
+inline Status ReadModelEnd(std::istream& in) {
+  Result<std::optional<std::string>> legacy =
+      ReadOptionalSection(in, "flat_forest", kForestSectionCap);
+  if (!legacy.ok()) {
+    return Status::CorruptModel("after the last section: " +
+                                std::string(legacy.status().message()));
+  }
+  in >> std::ws;
+  if (in.peek() != std::char_traits<char>::eof()) {
+    return Status::CorruptModel("trailing data after the last section");
+  }
+  return Status::OK();
 }
 
 }  // namespace strudel::internal_model_io

@@ -1,7 +1,6 @@
 #include "strudel/strudel_cell.h"
 
 #include <numeric>
-#include <optional>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -203,6 +202,17 @@ std::vector<std::vector<double>> StrudelCell::ColumnProbabilities(
   return column_model_.Predict(table).probabilities;
 }
 
+void StrudelCell::set_num_threads(int num_threads) {
+  options_.num_threads = num_threads;
+  options_.forest.num_threads = num_threads;
+  options_.line.num_threads = num_threads;
+  options_.line.forest.num_threads = num_threads;
+  line_model_.set_num_threads(num_threads);
+  if (auto* forest = dynamic_cast<ml::RandomForest*>(model_.get())) {
+    forest->set_num_threads(num_threads);
+  }
+}
+
 Status StrudelCell::SaveTo(std::ostream& out) const {
   if (model_ == nullptr) {
     return Status::FailedPrecondition("strudel_cell: model not fitted");
@@ -239,11 +249,6 @@ Status StrudelCell::SaveTo(std::ostream& out) const {
   forest_payload.precision(17);
   STRUDEL_RETURN_IF_ERROR(forest->Save(forest_payload));
   internal_model_io::WriteSection(out, "forest", forest_payload.str());
-
-  // Optional trailing section: the flat inference layout (see
-  // strudel_line.cc for the compatibility and validation contract).
-  internal_model_io::WriteSection(out, "flat_forest",
-                                  forest->flat_forest().Serialize());
   if (!out) return Status::IOError("strudel_cell: write failed");
   return Status::OK();
 }
@@ -306,21 +311,7 @@ Status StrudelCell::LoadFrom(std::istream& in) {
     STRUDEL_RETURN_IF_ERROR(forest->Load(section));
   }
 
-  // Optional flat-forest section: must equal the flat forest rebuilt from
-  // the pointer trees (see strudel_line.cc — catches corruption even when
-  // the section checksum was fixed up, so it can never mispredict).
-  STRUDEL_ASSIGN_OR_RETURN(
-      const std::optional<std::string> flat_payload,
-      internal_model_io::ReadOptionalSection(
-          in, "flat_forest", internal_model_io::kForestSectionCap));
-  if (flat_payload.has_value()) {
-    STRUDEL_ASSIGN_OR_RETURN(const ml::FlatForest flat,
-                             ml::FlatForest::Parse(*flat_payload));
-    if (!(flat == forest->flat_forest())) {
-      return Status::CorruptModel(
-          "strudel_cell: flat_forest section does not match the forest");
-    }
-  }
+  STRUDEL_RETURN_IF_ERROR(internal_model_io::ReadModelEnd(in));
 
   const size_t expected = CellFeatureNames(features_options).size();
   if (forest->num_features() != expected ||

@@ -115,16 +115,10 @@ class StrudelCell {
   const StrudelCellOptions& options() const { return options_; }
 
   /// Sets the worker count for both stages' featurisation, inference and
-  /// forests (0 = hardware concurrency, 1 = serial). Intended for models
-  /// restored via LoadFrom, whose options predate the caller's runtime
-  /// choice.
-  void set_num_threads(int num_threads) {
-    options_.num_threads = num_threads;
-    options_.forest.num_threads = num_threads;
-    options_.line.num_threads = num_threads;
-    options_.line.forest.num_threads = num_threads;
-    line_model_.set_num_threads(num_threads);
-  }
+  /// forests (0 = hardware concurrency, 1 = serial), the live forests of
+  /// a fitted or loaded model included. Intended for models restored via
+  /// LoadFrom, whose options predate the caller's runtime choice.
+  void set_num_threads(int num_threads);
 
   /// Serialises the trained two-stage model (random-forest backbones
   /// only) / restores it. See strudel/model_io.h for file-level helpers.

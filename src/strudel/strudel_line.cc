@@ -1,6 +1,5 @@
 #include "strudel/strudel_line.h"
 
-#include <optional>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -94,6 +93,14 @@ Status StrudelLine::Fit(const std::vector<const AnnotatedFile*>& files) {
   return status;
 }
 
+void StrudelLine::set_num_threads(int num_threads) {
+  options_.num_threads = num_threads;
+  options_.forest.num_threads = num_threads;
+  if (auto* forest = dynamic_cast<ml::RandomForest*>(model_.get())) {
+    forest->set_num_threads(num_threads);
+  }
+}
+
 Status StrudelLine::SaveTo(std::ostream& out) const {
   if (model_ == nullptr) {
     return Status::FailedPrecondition("strudel_line: model not fitted");
@@ -120,13 +127,6 @@ Status StrudelLine::SaveTo(std::ostream& out) const {
   forest_payload.precision(17);
   STRUDEL_RETURN_IF_ERROR(forest->Save(forest_payload));
   internal_model_io::WriteSection(out, "forest", forest_payload.str());
-
-  // Optional trailing section: the flat inference layout. Readers that
-  // predate it stop after the forest section; loaders that find it
-  // require it to equal the flat forest rebuilt from the trees, so a
-  // corrupted copy can never mispredict.
-  internal_model_io::WriteSection(out, "flat_forest",
-                                  forest->flat_forest().Serialize());
   if (!out) return Status::IOError("strudel_line: write failed");
   return Status::OK();
 }
@@ -178,23 +178,7 @@ Status StrudelLine::LoadFrom(std::istream& in) {
     STRUDEL_RETURN_IF_ERROR(forest->Load(section));
   }
 
-  // Optional flat-forest section (absent in files written before it
-  // existed). When present it must match the flat forest the Load above
-  // already rebuilt from the pointer trees bit for bit — an equality check
-  // that catches corruption even when the mutation fixed up the section
-  // checksum, so a damaged flat layout can never mispredict.
-  STRUDEL_ASSIGN_OR_RETURN(
-      const std::optional<std::string> flat_payload,
-      internal_model_io::ReadOptionalSection(
-          in, "flat_forest", internal_model_io::kForestSectionCap));
-  if (flat_payload.has_value()) {
-    STRUDEL_ASSIGN_OR_RETURN(const ml::FlatForest flat,
-                             ml::FlatForest::Parse(*flat_payload));
-    if (!(flat == forest->flat_forest())) {
-      return Status::CorruptModel(
-          "strudel_line: flat_forest section does not match the forest");
-    }
-  }
+  STRUDEL_RETURN_IF_ERROR(internal_model_io::ReadModelEnd(in));
 
   // Cross-section consistency: the forest, the normaliser and the feature
   // schema implied by the options must agree on the feature count.

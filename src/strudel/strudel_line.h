@@ -90,12 +90,10 @@ class StrudelLine {
   const StrudelLineOptions& options() const { return options_; }
 
   /// Sets the worker count for featurisation, inference and the forest
-  /// (0 = hardware concurrency, 1 = serial). Intended for models restored
-  /// via LoadFrom, whose options predate the caller's runtime choice.
-  void set_num_threads(int num_threads) {
-    options_.num_threads = num_threads;
-    options_.forest.num_threads = num_threads;
-  }
+  /// (0 = hardware concurrency, 1 = serial), the live forest of a fitted
+  /// or loaded model included. Intended for models restored via LoadFrom,
+  /// whose options predate the caller's runtime choice.
+  void set_num_threads(int num_threads);
 
   /// Serialises the trained model (random-forest backbone only) /
   /// restores it. See strudel/model_io.h for file-level helpers.

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <ostream>
+#include <string>
+
 #include "csv/writer.h"
 
 namespace strudel::csv {
@@ -11,6 +16,23 @@ struct DialectCase {
   const char* text;
   char expected_delimiter;
 };
+
+// gtest_discover_tests copies the printed parameter into the ctest name,
+// which must be one line without ';'. The texts hold newlines, tabs and
+// ';', so the label names the delimiter and shows the first row with the
+// delimiter drawn as '_'.
+void PrintTo(const DialectCase& c, std::ostream* os) {
+  std::string row(c.text, std::strcspn(c.text, "\n"));
+  std::replace(row.begin(), row.end(), c.expected_delimiter, '_');
+  switch (c.expected_delimiter) {
+    case ',': *os << "comma "; break;
+    case ';': *os << "semicolon "; break;
+    case '\t': *os << "tab "; break;
+    case '|': *os << "pipe "; break;
+    default: *os << static_cast<int>(c.expected_delimiter) << ' ';
+  }
+  *os << row;
+}
 
 class DetectDelimiterTest : public ::testing::TestWithParam<DialectCase> {};
 

@@ -1,7 +1,6 @@
 // FlatForest unit tests: layout edge cases (leaf-only trees, empty
-// forests, deep unbalanced chains), serialisation round trips, and the
-// structural rejections Parse must produce on malformed payloads. The
-// bit-identity of flat vs pointer prediction on trained forests is
+// forests, deep unbalanced chains) and block-vs-row agreement. The
+// bit-identity of the flat walk with the trees on trained forests is
 // proven separately by the differential suite
 // (tests/ml/forest_differential_test.cc, ctest -L differential).
 
@@ -9,12 +8,11 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-#include <string>
 #include <vector>
 
 #include "common/rng.h"
 #include "ml/random_forest.h"
+#include "testing/forest_oracle.h"
 
 namespace strudel::ml {
 namespace {
@@ -100,30 +98,10 @@ TEST(FlatForestTest, DeepUnbalancedTreeMatchesPointerWalk) {
             flat.num_internal_nodes() + static_cast<size_t>(flat.num_trees()));
   for (size_t i = 0; i < data.features.rows(); ++i) {
     const std::vector<double> expect =
-        forest.PredictProba(data.features.row(i));
+        testing::TreeOracleProba(forest, data.features.row(i));
     const std::vector<double> got = flat.PredictProba(data.features.row(i));
     ASSERT_EQ(expect, got);
   }
-}
-
-TEST(FlatForestTest, SerializeParseRoundTripIsExact) {
-  RandomForestOptions options;
-  options.num_trees = 8;
-  options.num_threads = 2;
-  RandomForest forest(options);
-  ASSERT_TRUE(forest.Fit(TwoBlobDataset(120, 7)).ok());
-  const FlatForest& flat = forest.flat_forest();
-  const std::string payload = flat.Serialize();
-  Result<FlatForest> parsed = FlatForest::Parse(payload);
-  ASSERT_TRUE(parsed.ok()) << parsed.status().message();
-  EXPECT_TRUE(*parsed == flat);
-}
-
-TEST(FlatForestTest, EmptyRoundTrip) {
-  const FlatForest empty;
-  Result<FlatForest> parsed = FlatForest::Parse(empty.Serialize());
-  ASSERT_TRUE(parsed.ok()) << parsed.status().message();
-  EXPECT_TRUE(parsed->empty());
 }
 
 TEST(FlatForestTest, PredictBlockMatchesPerRow) {
@@ -143,77 +121,6 @@ TEST(FlatForestTest, PredictBlockMatchesPerRow) {
       ASSERT_EQ(row[c], block[i * k + c]);
     }
   }
-}
-
-// --- Parse rejection cases -------------------------------------------------
-
-std::string ValidPayload() {
-  RandomForestOptions options;
-  options.num_trees = 3;
-  options.num_threads = 1;
-  RandomForest forest(options);
-  Dataset data = TwoBlobDataset(60, 13);
-  EXPECT_TRUE(forest.Fit(data).ok());
-  return forest.flat_forest().Serialize();
-}
-
-void ExpectCorrupt(const std::string& payload) {
-  Result<FlatForest> parsed = FlatForest::Parse(payload);
-  ASSERT_FALSE(parsed.ok());
-  EXPECT_EQ(parsed.status().code(), StatusCode::kCorruptModel)
-      << parsed.status().message();
-}
-
-TEST(FlatForestParseTest, RejectsBadMagic) {
-  ExpectCorrupt("flan v1 2 2 1 0 1\n~0\n1 1\n");
-}
-
-TEST(FlatForestParseTest, RejectsTruncatedPayload) {
-  const std::string payload = ValidPayload();
-  ExpectCorrupt(payload.substr(0, payload.size() / 2));
-}
-
-TEST(FlatForestParseTest, RejectsTrailingData) {
-  ExpectCorrupt(ValidPayload() + "0 0 0 0\n");
-}
-
-TEST(FlatForestParseTest, RejectsLeafCountViolatingBinaryInvariant) {
-  // 1 tree, 2 internal nodes can only have 3 leaves; claim 4.
-  ExpectCorrupt("flat v1 2 2 1 2 4\n0\n0 0.5 1 -1\n0 0.25 -2 -3\n"
-                "1 0\n0 1\n1 0\n0 1\n");
-}
-
-TEST(FlatForestParseTest, RejectsBackwardChildReference) {
-  // Node 1's left child points back to node 0: would loop forever.
-  ExpectCorrupt("flat v1 2 2 1 2 3\n0\n0 0.5 1 -1\n0 0.25 0 -2\n"
-                "1 0\n0 1\n1 0\n");
-}
-
-TEST(FlatForestParseTest, RejectsFeatureOutOfRange) {
-  ExpectCorrupt("flat v1 2 2 1 1 2\n0\n7 0.5 -1 -2\n1 0\n0 1\n");
-}
-
-TEST(FlatForestParseTest, RejectsNonFiniteThreshold) {
-  ExpectCorrupt("flat v1 2 2 1 1 2\n0\n0 nan -1 -2\n1 0\n0 1\n");
-}
-
-TEST(FlatForestParseTest, RejectsOutOfRangeLeafProbability) {
-  ExpectCorrupt("flat v1 2 2 1 1 2\n0\n0 0.5 -1 -2\n1 0\n0 2.5\n");
-}
-
-TEST(FlatForestParseTest, AcceptsMinimalValidPayload) {
-  // One tree, one split, two leaves.
-  Result<FlatForest> parsed = FlatForest::Parse(
-      "flat v1 2 2 1 1 2\n0\n0 0.5 -1 -2\n1 0\n0 1\n");
-  ASSERT_TRUE(parsed.ok()) << parsed.status().message();
-  EXPECT_EQ(parsed->num_internal_nodes(), 1u);
-  EXPECT_EQ(parsed->num_leaves(), 2u);
-  const std::vector<double> left =
-      parsed->PredictProba(std::vector<double>{0.0, 0.0});
-  EXPECT_DOUBLE_EQ(left[0], 1.0);
-  const std::vector<double> right =
-      parsed->PredictProba(std::vector<double>{1.0, 0.0});
-  EXPECT_DOUBLE_EQ(right[1], 1.0);
 }
 
 }  // namespace

@@ -1,13 +1,15 @@
-// Differential suite for the flattened inference engine: on forests
-// trained from real corpus line features and on property-generated
-// feature matrices (including NaN/Inf rows), the flat breadth-first
-// layout must produce bit-identical probabilities and classes to the
-// pointer-walking reference — at 1, 2 and 8 threads, through the batched
-// and the per-row entry points, and across a save/load round trip.
+// Differential suite for the flat inference engine: on forests trained
+// from real corpus line features and on property-generated feature
+// matrices (including NaN/Inf rows), the flat breadth-first layout must
+// produce bit-identical probabilities and classes to the pointer walk of
+// the trees themselves — at 1, 2 and 8 threads, through the batched and
+// the per-row entry points, and across a save/load round trip.
 //
-// "Bit-identical" is EXPECT_EQ on doubles throughout: both engines add
-// the same per-tree leaf distributions in the same order and scale once,
-// so even the rounding is the same.
+// The reference never calls the flat engine: it sums each tree's
+// DecisionTree::PredictProba in tree order and scales once
+// (testing/forest_oracle.h). "Bit-identical" is EXPECT_EQ on doubles
+// throughout: both walks add the same per-tree leaf distributions in the
+// same order and scale once, so even the rounding is the same.
 
 #include <gtest/gtest.h>
 
@@ -23,56 +25,44 @@
 #include "ml/matrix.h"
 #include "ml/random_forest.h"
 #include "strudel/strudel_line.h"
+#include "testing/forest_oracle.h"
 
 namespace strudel::ml {
 namespace {
 
-// Predictions from the pointer walk, one row at a time: the reference
-// every batched engine is measured against.
-std::vector<std::vector<double>> PointerReference(const RandomForest& forest,
-                                                  const Matrix& features) {
-  std::vector<std::vector<double>> probas;
-  probas.reserve(features.rows());
-  for (size_t i = 0; i < features.rows(); ++i) {
-    probas.push_back(forest.PredictProba(features.row(i)));
-  }
-  return probas;
-}
+using ::strudel::testing::TreeOracleProbaAll;
 
-void ExpectEnginesAgree(const RandomForest& forest, const Matrix& features,
-                        const std::vector<std::vector<double>>& reference) {
-  for (const ForestPredictEngine engine :
-       {ForestPredictEngine::kFlat, ForestPredictEngine::kPointer,
-        ForestPredictEngine::kAuto}) {
-    std::vector<std::vector<double>> probas;
-    const Status status = forest.TryPredictProbaAll(
-        features, nullptr, "forest_predict", &probas, engine);
-    ASSERT_TRUE(status.ok()) << status.ToString();
-    ASSERT_EQ(probas.size(), reference.size());
-    for (size_t i = 0; i < reference.size(); ++i) {
-      ASSERT_EQ(probas[i], reference[i])
-          << "row " << i << " engine " << static_cast<int>(engine)
-          << " threads " << forest.num_threads();
-    }
-    std::vector<int> classes;
-    const Status class_status = forest.TryPredictAll(
-        features, nullptr, "forest_predict", &classes, engine);
-    ASSERT_TRUE(class_status.ok()) << class_status.ToString();
-    ASSERT_EQ(classes.size(), reference.size());
-    for (size_t i = 0; i < reference.size(); ++i) {
-      ASSERT_EQ(classes[i], static_cast<int>(ArgMax(reference[i])))
-          << "row " << i << " engine " << static_cast<int>(engine);
-    }
+// Every predict entry point of the forest — batched probabilities,
+// batched classes and per-row probabilities — against the reference.
+void ExpectForestMatches(const RandomForest& forest, const Matrix& features,
+                         const std::vector<std::vector<double>>& reference) {
+  std::vector<std::vector<double>> probas;
+  const Status status =
+      forest.TryPredictProbaAll(features, nullptr, "forest_predict", &probas);
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  ASSERT_EQ(probas.size(), reference.size());
+  std::vector<int> classes;
+  const Status class_status =
+      forest.TryPredictAll(features, nullptr, "forest_predict", &classes);
+  ASSERT_TRUE(class_status.ok()) << class_status.ToString();
+  ASSERT_EQ(classes.size(), reference.size());
+  for (size_t i = 0; i < reference.size(); ++i) {
+    ASSERT_EQ(probas[i], reference[i])
+        << "row " << i << " threads " << forest.num_threads();
+    ASSERT_EQ(forest.PredictProba(features.row(i)), reference[i])
+        << "row " << i;
+    ASSERT_EQ(classes[i], static_cast<int>(ArgMax(reference[i])))
+        << "row " << i << " threads " << forest.num_threads();
   }
 }
 
 void ExpectAgreementAtAllThreadCounts(RandomForest& forest,
                                       const Matrix& features) {
   const std::vector<std::vector<double>> reference =
-      PointerReference(forest, features);
+      TreeOracleProbaAll(forest, features);
   for (const int threads : {1, 2, 8}) {
     forest.set_num_threads(threads);
-    ExpectEnginesAgree(forest, features, reference);
+    ExpectForestMatches(forest, features, reference);
   }
 }
 
@@ -108,8 +98,8 @@ TEST(ForestDifferentialTest, FlatMatchesPointerOnCorpusLineFeatures) {
 TEST(ForestDifferentialTest, FlatMatchesPointerOnPropertyMatrices) {
   // Property-generated feature matrices: random values spanning huge and
   // tiny magnitudes, exact split-threshold hits, and rows poisoned with
-  // NaN / +-Inf. Both engines must take the same branch everywhere
-  // (NaN fails `v <= t` and goes right in both walks).
+  // NaN / +-Inf. Both walks must take the same branch everywhere
+  // (NaN fails `v <= t` and goes right in both).
   Rng rng(987);
   Dataset train;
   train.num_classes = 3;
@@ -179,7 +169,7 @@ TEST(ForestDifferentialTest, SaveLoadRoundTripIsBitIdentical) {
   ASSERT_TRUE(loaded.Load(stream).ok());
 
   // The rebuilt flat layout is identical array for array, and both the
-  // original and the loaded forest agree with the original's pointer
+  // original and the loaded forest agree with the original's tree-summed
   // reference on every probe row, at every thread count.
   ASSERT_TRUE(loaded.flat_forest() == forest.flat_forest());
   Matrix probe(0, 3);
@@ -189,27 +179,13 @@ TEST(ForestDifferentialTest, SaveLoadRoundTripIsBitIdentical) {
                                          rng.Gaussian(0.0, 2.0)});
   }
   const std::vector<std::vector<double>> reference =
-      PointerReference(forest, probe);
+      TreeOracleProbaAll(forest, probe);
   for (const int threads : {1, 2, 8}) {
     forest.set_num_threads(threads);
     loaded.set_num_threads(threads);
-    ExpectEnginesAgree(forest, probe, reference);
-    ExpectEnginesAgree(loaded, probe, reference);
+    ExpectForestMatches(forest, probe, reference);
+    ExpectForestMatches(loaded, probe, reference);
   }
-}
-
-TEST(ForestDifferentialTest, FlatEngineRefusesUnbuiltLayout) {
-  RandomForest forest;
-  Matrix probe(0, 2);
-  probe.append_row(std::vector<double>{0.0, 1.0});
-  std::vector<std::vector<double>> probas;
-  // Untrained forest: zero trees means an empty (trivially fine) result
-  // for kAuto/kPointer but kFlat on an explicitly empty layout is the
-  // caller asking for an engine that does not exist.
-  const Status status = forest.TryPredictProbaAll(
-      probe, nullptr, "forest_predict", &probas, ForestPredictEngine::kFlat);
-  EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition)
-      << status.ToString();
 }
 
 }  // namespace

@@ -47,7 +47,10 @@ class ModelFuzzTest : public ::testing::Test {
     ASSERT_TRUE(line_model.Fit(corpus).ok());
     std::stringstream line_stream;
     ASSERT_TRUE(SaveModel(line_model, line_stream).ok());
-    line_bytes_ = new std::string(line_stream.str());
+    // Saved models carry no flat_forest section; append the legacy one
+    // older files end with, so kFlatSection mutates a real section.
+    line_bytes_ =
+        new std::string(testing::AppendLegacyFlatSection(line_stream.str()));
 
     StrudelCellOptions cell_options;
     cell_options.forest.num_trees = 4;
@@ -149,11 +152,11 @@ TEST_F(ModelFuzzTest, DoubleMutationsStillContained) {
 }
 
 TEST_F(ModelFuzzTest, FlatSectionCorruptionNeverMispredicts) {
-  // The acceptance bar for the serialised inference layout: a damaged
-  // flat_forest section either fails the load cleanly or — when the
-  // mutation happens to be textually benign — loads into a model whose
-  // predictions are bit-identical to the pristine one. A loaded-but-
-  // mispredicting model would mean the corrupted flat arrays were used.
+  // A damaged legacy flat_forest section either fails the load cleanly
+  // or — when its framing and checksum still hold — loads into a model
+  // whose predictions are bit-identical to the pristine one. A
+  // loaded-but-mispredicting model would mean the section's payload was
+  // used instead of the trees.
   const csv::Table probe = testing::Figure1File().table;
   std::stringstream pristine_stream(*line_bytes_);
   auto pristine = LoadLineModel(pristine_stream);

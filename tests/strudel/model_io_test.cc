@@ -2,11 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <sstream>
+#include <string>
+#include <string_view>
 
 #include "common/rng.h"
 #include "datagen/corpus.h"
 #include "ml/naive_bayes.h"
+#include "strudel/section_io.h"
+#include "testing/model_corruptor.h"
 #include "testing/test_tables.h"
 
 namespace strudel {
@@ -233,6 +238,171 @@ TEST(ModelIoTest, NonForestBackboneRejected) {
   ASSERT_TRUE(model.Fit(corpus).ok());
   std::stringstream stream;
   EXPECT_EQ(SaveModel(model, stream).code(), StatusCode::kUnimplemented);
+}
+
+
+// One trained model of each flavour, saved once and shared by the
+// model-file tests below.
+class SavedModelTest : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    const auto corpus = SmallCorpus(98);
+    StrudelLine line_model(FastLine());
+    ASSERT_TRUE(line_model.Fit(corpus).ok());
+    std::stringstream line_stream;
+    ASSERT_TRUE(SaveModel(line_model, line_stream).ok());
+    line_bytes_ = new std::string(line_stream.str());
+
+    StrudelCell cell_model(FastCell());
+    ASSERT_TRUE(cell_model.Fit(corpus).ok());
+    std::stringstream cell_stream;
+    ASSERT_TRUE(SaveModel(cell_model, cell_stream).ok());
+    cell_bytes_ = new std::string(cell_stream.str());
+  }
+
+  static void TearDownTestSuite() {
+    delete line_bytes_;
+    delete cell_bytes_;
+    line_bytes_ = nullptr;
+    cell_bytes_ = nullptr;
+  }
+
+  static Result<StrudelLine> LoadLine(const std::string& bytes) {
+    std::stringstream stream(bytes);
+    return LoadLineModel(stream);
+  }
+
+  static Result<StrudelCell> LoadCell(const std::string& bytes) {
+    std::stringstream stream(bytes);
+    return LoadCellModel(stream);
+  }
+
+  // Applies `edit` to the nested line-model payload of a saved cell
+  // model and re-frames that section, so only the nested model's end
+  // changes.
+  static std::string EditLinePayload(
+      const std::string& cell_bytes,
+      const std::function<std::string(std::string)>& edit) {
+    std::istringstream in(cell_bytes);
+    std::string header;
+    std::getline(in, header);
+    std::ostringstream out;
+    out << header << '\n';
+    for (const std::string_view name :
+         {"options", "line", "normalizer", "forest"}) {
+      Result<std::string> payload = internal_model_io::ReadSection(
+          in, name, internal_model_io::kForestSectionCap);
+      if (!payload.ok()) {
+        ADD_FAILURE() << payload.status().ToString();
+        return cell_bytes;
+      }
+      internal_model_io::WriteSection(
+          out, name, name == "line" ? edit(*payload) : *payload);
+    }
+    return out.str();
+  }
+
+  static const std::string* line_bytes_;
+  static const std::string* cell_bytes_;
+};
+
+const std::string* SavedModelTest::line_bytes_ = nullptr;
+const std::string* SavedModelTest::cell_bytes_ = nullptr;
+
+// A flat_forest section whose framing holds but whose checksum is wrong.
+constexpr std::string_view kBadChecksumSection =
+    "section flat_forest 3 0000000000000000\nabc\n";
+
+TEST_F(SavedModelTest, ModelsCarryNoFlatSection) {
+  EXPECT_EQ(line_bytes_->find("section flat_forest"), std::string::npos);
+  EXPECT_EQ(cell_bytes_->find("section flat_forest"), std::string::npos);
+}
+
+TEST_F(SavedModelTest, LegacyFlatSectionIsVerifiedAndSkipped) {
+  const csv::Table probe = testing::Figure1File().table;
+  auto plain = LoadLine(*line_bytes_);
+  ASSERT_TRUE(plain.ok()) << plain.status().ToString();
+  auto legacy = LoadLine(testing::AppendLegacyFlatSection(*line_bytes_));
+  ASSERT_TRUE(legacy.ok()) << legacy.status().ToString();
+  const LinePrediction expected = plain->Predict(probe);
+  const LinePrediction got = legacy->Predict(probe);
+  EXPECT_EQ(got.classes, expected.classes);
+  EXPECT_EQ(got.probabilities, expected.probabilities);
+
+  auto damaged = LoadLine(*line_bytes_ + std::string(kBadChecksumSection));
+  ASSERT_FALSE(damaged.ok());
+  EXPECT_EQ(damaged.status().code(), StatusCode::kCorruptModel);
+}
+
+TEST_F(SavedModelTest, CellModelSkipsLegacySectionsAtBothLevels) {
+  const csv::Table probe = testing::Figure1File().table;
+  auto plain = LoadCell(*cell_bytes_);
+  ASSERT_TRUE(plain.ok()) << plain.status().ToString();
+  // The layout older cell models had: a legacy section at the end of the
+  // nested line payload and another at the end of the file.
+  const std::string legacy_bytes = testing::AppendLegacyFlatSection(
+      EditLinePayload(*cell_bytes_, testing::AppendLegacyFlatSection));
+  auto legacy = LoadCell(legacy_bytes);
+  ASSERT_TRUE(legacy.ok()) << legacy.status().ToString();
+  const CellPrediction expected = plain->Predict(probe);
+  const CellPrediction got = legacy->Predict(probe);
+  EXPECT_EQ(got.classes, expected.classes);
+  EXPECT_EQ(got.line_prediction.probabilities,
+            expected.line_prediction.probabilities);
+
+  auto damaged_outer =
+      LoadCell(*cell_bytes_ + std::string(kBadChecksumSection));
+  ASSERT_FALSE(damaged_outer.ok());
+  EXPECT_EQ(damaged_outer.status().code(), StatusCode::kCorruptModel);
+  auto damaged_nested =
+      LoadCell(EditLinePayload(*cell_bytes_, [](std::string payload) {
+        return payload + std::string(kBadChecksumSection);
+      }));
+  ASSERT_FALSE(damaged_nested.ok());
+  EXPECT_EQ(damaged_nested.status().code(), StatusCode::kCorruptModel);
+}
+
+TEST_F(SavedModelTest, TrailingDataAfterLastSectionRejected) {
+  const std::string junk = "junk after the model\n";
+  const std::string legacy_line =
+      testing::AppendLegacyFlatSection(*line_bytes_);
+  for (const std::string& bytes :
+       {*line_bytes_ + junk, legacy_line + junk,
+        testing::AppendLegacyFlatSection(legacy_line)}) {
+    auto loaded = LoadLine(bytes);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.status().code(), StatusCode::kCorruptModel)
+        << loaded.status().ToString();
+  }
+  const auto append_junk = [&](std::string payload) {
+    return payload + junk;
+  };
+  for (const std::string& bytes :
+       {*cell_bytes_ + junk,
+        testing::AppendLegacyFlatSection(*cell_bytes_) + junk,
+        EditLinePayload(*cell_bytes_, append_junk)}) {
+    auto loaded = LoadCell(bytes);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.status().code(), StatusCode::kCorruptModel)
+        << loaded.status().ToString();
+  }
+  // Trailing whitespace is still the end of the file.
+  EXPECT_TRUE(LoadLine(*line_bytes_ + "\n \n").ok());
+  EXPECT_TRUE(LoadCell(*cell_bytes_ + "\n").ok());
+}
+
+TEST_F(SavedModelTest, SetNumThreadsReachesLoadedForests) {
+  auto loaded = LoadCell(*cell_bytes_);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  loaded->set_num_threads(1);
+  const auto* cell_forest =
+      dynamic_cast<const ml::RandomForest*>(&loaded->model());
+  const auto* line_forest =
+      dynamic_cast<const ml::RandomForest*>(&loaded->line_model().model());
+  ASSERT_NE(cell_forest, nullptr);
+  ASSERT_NE(line_forest, nullptr);
+  EXPECT_EQ(cell_forest->num_threads(), 1);
+  EXPECT_EQ(line_forest->num_threads(), 1);
 }
 
 }  // namespace

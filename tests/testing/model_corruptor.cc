@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <charconv>
+#include <sstream>
 #include <utility>
 #include <vector>
 
@@ -139,16 +140,16 @@ std::string GarbageInsert(std::string input, Rng& rng) {
   return input;
 }
 
-// Targets the flat_forest section (the serialised inference layout).
-// Three escalating variants: a truncation inside the payload, a payload
-// byte flip the section checksum catches, and a payload byte flip with
-// the FNV checksum recomputed — the hardest case, where only the
-// semantic "flat equals the forest rebuilt from the trees" equality
-// check stands between a damaged layout and a misprediction.
+// Targets a legacy flat_forest section (the inference layout older
+// models carried). Three escalating variants: a truncation inside the
+// payload, a payload byte flip the section checksum catches, and a
+// payload byte flip with the FNV checksum recomputed — the hardest case,
+// where only the loader's discarding of the payload stands between a
+// damaged layout and a misprediction.
 std::string FlatSection(std::string input, Rng& rng) {
   constexpr std::string_view kNeedle = "section flat_forest ";
   // A cell model nests a line model, so there can be several flat
-  // sections; pick the last (the outer model's own layout).
+  // sections; pick the last (the outer model's own).
   const size_t header_begin = input.rfind(kNeedle);
   if (header_begin == std::string::npos) {
     return ByteFlip(std::move(input), rng);
@@ -220,6 +221,14 @@ std::string_view ModelCorruptionKindName(ModelCorruptionKind kind) {
       return "flat_section";
   }
   return "unknown";
+}
+
+std::string AppendLegacyFlatSection(std::string model_bytes) {
+  std::ostringstream section;
+  internal_model_io::WriteSection(section, "flat_forest",
+                                  "flat v1 2 2 1 1 2\n0\n"
+                                  "0 0.5 -1 -2\n1 0\n0 1\n");
+  return std::move(model_bytes) + section.str();
 }
 
 std::string CorruptModelBytes(std::string input, ModelCorruptionKind kind,

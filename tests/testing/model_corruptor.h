@@ -25,11 +25,11 @@ enum class ModelCorruptionKind {
   kChecksumDamage,  // damage a section checksum digit
   kTokenDelete,     // delete a random token
   kGarbageInsert,   // splice random bytes into the middle
-  kFlatSection,     // damage the flat_forest section specifically:
+  kFlatSection,     // damage a legacy flat_forest section specifically:
                     // truncate inside its payload, flip a payload byte
                     // (stale checksum), or flip a payload byte AND
-                    // recompute the checksum so only the semantic
-                    // flat-vs-trees equality check can object
+                    // recompute the checksum, so only the loader's
+                    // discarding of the payload keeps it harmless
 };
 
 inline constexpr ModelCorruptionKind kAllModelCorruptionKinds[] = {
@@ -44,6 +44,12 @@ std::string_view ModelCorruptionKindName(ModelCorruptionKind kind);
 /// Applies one mutation of the given kind. Deterministic in `rng`.
 std::string CorruptModelBytes(std::string input, ModelCorruptionKind kind,
                               Rng& rng);
+
+/// Appends a well-framed `flat_forest` section holding a one-split
+/// layout in the old "flat v1" text, as models written while the format
+/// carried the flat inference layout ended. Loaders verify such a
+/// section and discard it.
+std::string AppendLegacyFlatSection(std::string model_bytes);
 
 }  // namespace strudel::testing
 

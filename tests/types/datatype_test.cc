@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 namespace strudel {
 namespace {
 
@@ -9,6 +11,13 @@ struct TypeCase {
   const char* input;
   DataType expected;
 };
+
+// gtest_discover_tests copies the printed parameter into the ctest name,
+// so print the input text rather than the struct's raw bytes (a pointer
+// and padding, which change on every run).
+void PrintTo(const TypeCase& c, std::ostream* os) {
+  *os << '"' << c.input << '"';
+}
 
 class InferDataTypeTest : public ::testing::TestWithParam<TypeCase> {};
 

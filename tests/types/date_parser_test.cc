@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 namespace strudel {
 namespace {
 
@@ -11,6 +13,13 @@ struct DateCase {
   int month;
   int day;
 };
+
+// gtest_discover_tests copies the printed parameter into the ctest name,
+// so print the input text rather than the struct's raw bytes (a pointer
+// and padding, which change on every run).
+void PrintTo(const DateCase& c, std::ostream* os) {
+  *os << '"' << c.input << '"';
+}
 
 class ParseDateValidTest : public ::testing::TestWithParam<DateCase> {};
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 namespace strudel {
 namespace {
 
@@ -10,6 +12,13 @@ struct NumberCase {
   double expected;
   bool is_integer;
 };
+
+// gtest_discover_tests copies the printed parameter into the ctest name,
+// so print the input text rather than the struct's raw bytes (a pointer
+// and padding, which change on every run).
+void PrintTo(const NumberCase& c, std::ostream* os) {
+  *os << '"' << c.input << '"';
+}
 
 class ParseNumberValidTest : public ::testing::TestWithParam<NumberCase> {};
 
