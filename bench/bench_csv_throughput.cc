@@ -27,9 +27,7 @@
 // --large switches to the big-file mode: a >1 GB generated verbose-portal
 // workload, indexed serially and with the speculative chunk-parallel
 // build at 2/4/8 threads (each cross-checked bit-identical against the
-// serial index before timing), plus a cold-then-warm ingest through the
-// persistent structural-index cache where the warm run MUST report a
-// cache hit (telemetry-asserted). Emits BENCH_csv_large.json.
+// serial index before timing). Emits BENCH_csv_large.json.
 // --min-parallel-speedup gates the 4-thread parallel-index speedup; like
 // bench_parallel_scaling, the gate is skipped (with a note) on hosts
 // with fewer than 4 hardware threads, where scaling is physically
@@ -39,7 +37,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <chrono>
-#include <filesystem>
 #include <fstream>
 #include <string>
 #include <thread>
@@ -47,10 +44,8 @@
 
 #include "common/rng.h"
 #include "common/string_util.h"
-#include "csv/index_cache.h"
 #include "csv/reader.h"
 #include "csv/simd_scan.h"
-#include "strudel/ingest.h"
 
 namespace {
 
@@ -200,18 +195,15 @@ struct WorkloadResult {
   std::vector<ModeResult> modes;
 };
 
-/// The --large mode: serial vs chunk-parallel indexing on a >1 GB
-/// workload, and a warm-cache ingest that must skip the scan.
+/// The --large mode: serial vs chunk-parallel indexing on a >1 GB workload.
 int RunLargeMode(bool quick, const std::string& out_path,
                  double min_parallel_speedup) {
   const size_t target = quick ? (size_t{64} << 20) : (size_t{1280} << 20);
-  const size_t ingest_target = quick ? (size_t{8} << 20) : (size_t{128} << 20);
   const int reps = 2;
   const unsigned hardware = std::max(1u, std::thread::hardware_concurrency());
   std::printf("== csv large-file ingestion ==\n");
-  std::printf("workload: %zu MiB, ingest slice: %zu MiB, hardware threads: "
-              "%u\n\n",
-              target >> 20, ingest_target >> 20, hardware);
+  std::printf("workload: %zu MiB, hardware threads: %u\n\n", target >> 20,
+              hardware);
 
   Rng rng(20260807);
   const std::string text = MakeVerbosePortal(rng, target);
@@ -267,80 +259,6 @@ int RunLargeMode(bool quick, const std::string& out_path,
     return 0.0;
   };
 
-  // Warm-cache ingest: write a row-aligned slice to disk, ingest cold
-  // (miss + store), then warm — the warm run must report a cache hit or
-  // the bench fails outright; the cache's entire point is skipping the
-  // scan, and only telemetry can see whether it did.
-  namespace fs = std::filesystem;
-  std::error_code ec;
-  const fs::path dir = fs::temp_directory_path() / "strudel_bench_csv_large";
-  fs::remove_all(dir, ec);
-  fs::create_directories(dir, ec);
-  size_t cut = text.rfind('\n', ingest_target);
-  cut = cut == std::string::npos ? ingest_target : cut + 1;
-  const std::string input_path = (dir / "input.csv").string();
-  {
-    std::ofstream out(input_path, std::ios::binary | std::ios::trunc);
-    out.write(text.data(), static_cast<std::streamsize>(cut));
-    if (!out.good()) {
-      std::fprintf(stderr, "FAIL: cannot write %s\n", input_path.c_str());
-      return 1;
-    }
-  }
-  csv::IndexCache cache((dir / "cache").string());
-  IngestOptions ingest_options;
-  ingest_options.reader.index_cache = &cache;
-
-  const auto now = [] { return std::chrono::steady_clock::now(); };
-  const auto cold_start = now();
-  auto cold = IngestFile(input_path, ingest_options);
-  const double cold_seconds =
-      std::chrono::duration<double>(now() - cold_start).count();
-  if (!cold.ok()) {
-    std::fprintf(stderr, "FAIL: cold ingest: %s\n",
-                 cold.status().ToString().c_str());
-    return 1;
-  }
-  if (cold->scan.cache != csv::IndexCacheStatus::kMiss) {
-    std::fprintf(stderr, "FAIL: cold ingest reported cache %s, not miss\n",
-                 std::string(csv::IndexCacheStatusName(cold->scan.cache))
-                     .c_str());
-    return 1;
-  }
-
-  double warm_seconds = 0.0;
-  for (int r = 0; r < reps; ++r) {
-    const auto warm_start = now();
-    auto warm = IngestFile(input_path, ingest_options);
-    const double elapsed =
-        std::chrono::duration<double>(now() - warm_start).count();
-    if (!warm.ok()) {
-      std::fprintf(stderr, "FAIL: warm ingest: %s\n",
-                   warm.status().ToString().c_str());
-      return 1;
-    }
-    if (warm->scan.cache != csv::IndexCacheStatus::kHit) {
-      std::fprintf(stderr,
-                   "FAIL: warm ingest reported cache %s — the scan was "
-                   "rebuilt instead of reused\n",
-                   std::string(csv::IndexCacheStatusName(warm->scan.cache))
-                       .c_str());
-      return 1;
-    }
-    if (warm->table.num_rows() != cold->table.num_rows() ||
-        warm->table.num_cols() != cold->table.num_cols()) {
-      std::fprintf(stderr, "FAIL: warm ingest shape differs from cold\n");
-      return 1;
-    }
-    if (r == 0 || elapsed < warm_seconds) warm_seconds = elapsed;
-  }
-  const double warm_speedup = cold_seconds / warm_seconds;
-  std::printf("\ningest cold        %8.4fs  (index cache miss + store)\n",
-              cold_seconds);
-  std::printf("ingest warm        %8.4fs  (index cache hit, %.2fx)\n",
-              warm_seconds, warm_speedup);
-  fs::remove_all(dir, ec);
-
   const bool gate_enforced = min_parallel_speedup > 0.0 && hardware >= 4;
   std::ofstream json(out_path);
   json.precision(6);
@@ -349,7 +267,6 @@ int RunLargeMode(bool quick, const std::string& out_path,
        << "  \"quick\": " << (quick ? "true" : "false") << ",\n"
        << "  \"hardware_concurrency\": " << hardware << ",\n"
        << "  \"bytes\": " << text.size() << ",\n"
-       << "  \"ingest_bytes\": " << cut << ",\n"
        << "  \"min_parallel_speedup_required\": " << min_parallel_speedup
        << ",\n"
        << "  \"gate_enforced\": " << (gate_enforced ? "true" : "false")
@@ -367,11 +284,7 @@ int RunLargeMode(bool quick, const std::string& out_path,
   json << "],\n"
        << "  \"parallel_index_speedup_2t\": " << speedup_at(2) << ",\n"
        << "  \"parallel_index_speedup_4t\": " << speedup_at(4) << ",\n"
-       << "  \"parallel_index_speedup_8t\": " << speedup_at(8) << ",\n"
-       << "  \"cold_ingest_seconds\": " << cold_seconds << ",\n"
-       << "  \"warm_ingest_seconds\": " << warm_seconds << ",\n"
-       << "  \"warm_ingest_speedup\": " << warm_speedup << ",\n"
-       << "  \"warm_cache_hit\": true\n"
+       << "  \"parallel_index_speedup_8t\": " << speedup_at(8) << "\n"
        << "}\n";
   json.flush();
   if (!json) {

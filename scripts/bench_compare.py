@@ -53,9 +53,6 @@ OVERRIDES = [
     # count (the bench's own --min-parallel-speedup gate is the hard
     # floor on capable hosts); the relative gate only catches collapses.
     ("csv_large/parallel_index_speedup*", (15.0, 30.0, 0.0)),
-    # Warm-over-cold cache speedup depends on the runner's page cache
-    # and disk; only a collapse (cache silently not engaging) matters.
-    ("csv_large/warm_ingest_speedup", (25.0, 50.0, 0.0)),
 ]
 DEFAULT_THRESHOLDS = (5.0, 10.0, 0.0)
 
@@ -132,8 +129,6 @@ def metrics_csv_large(doc):
             (doc.get("parallel_index_speedup_4t"), HIGHER_BETTER),
         "parallel_index_speedup_8t":
             (doc.get("parallel_index_speedup_8t"), HIGHER_BETTER),
-        "warm_ingest_speedup":
-            (doc.get("warm_ingest_speedup"), HIGHER_BETTER),
     }
 
 

@@ -97,7 +97,6 @@ MmapSource::MmapSource(MmapSource&& other) noexcept
       buffer_(std::move(other.buffer_)),
       fd_(std::exchange(other.fd_, -1)),
       path_(std::move(other.path_)),
-      regular_(other.regular_),
       mtime_ns_(other.mtime_ns_),
       size_(other.size_),
       telemetry_(other.telemetry_) {}
@@ -110,7 +109,6 @@ MmapSource& MmapSource::operator=(MmapSource&& other) noexcept {
     buffer_ = std::move(other.buffer_);
     fd_ = std::exchange(other.fd_, -1);
     path_ = std::move(other.path_);
-    regular_ = other.regular_;
     mtime_ns_ = other.mtime_ns_;
     size_ = other.size_;
     telemetry_ = other.telemetry_;
@@ -167,8 +165,8 @@ Result<MmapSource> MmapSource::Open(const std::string& path, IoMode mode,
     return Status::IOError("is a directory, not a file: " + path);
   }
 
-  source.regular_ = S_ISREG(st.st_mode);
-  if (source.regular_) {
+  const bool regular = S_ISREG(st.st_mode);
+  if (regular) {
     source.size_ = static_cast<uint64_t>(st.st_size);
     source.mtime_ns_ = static_cast<uint64_t>(st.st_mtim.tv_sec) *
                            1'000'000'000ull +
@@ -177,7 +175,7 @@ Result<MmapSource> MmapSource::Open(const std::string& path, IoMode mode,
 
   IoFallbackReason fallback = IoFallbackReason::kNone;
   bool try_map = mode != IoMode::kBuffered;
-  if (try_map && !source.regular_) {
+  if (try_map && !regular) {
     fallback = IoFallbackReason::kNotRegularFile;
     try_map = false;
   }
@@ -214,13 +212,13 @@ Result<MmapSource> MmapSource::Open(const std::string& path, IoMode mode,
     }
     // A short read of a regular file (device error, concurrent truncation)
     // must not be silently parsed as a complete file.
-    if (source.regular_ && source.buffer_.size() != source.size_) {
+    if (regular && source.buffer_.size() != source.size_) {
       ::close(fd);
       return Status::IOError(StrFormat(
           "short read: got %zu of %zu bytes from %s", source.buffer_.size(),
           static_cast<size_t>(source.size_), path.c_str()));
     }
-    if (!source.regular_) source.size_ = source.buffer_.size();
+    if (!regular) source.size_ = source.buffer_.size();
   }
   if (source.map_ != nullptr) {
     // Keep the descriptor so VerifyUnchanged can re-fstat the mapped

@@ -12,9 +12,9 @@
 //
 // The mapped (or buffered) bytes are exposed as one string_view; the
 // mapping lives exactly as long as the MmapSource, so callers must keep
-// the source alive while any view into it is parsed. For regular files
-// the source also captures the identity triple (size, mtime_ns) that the
-// structural-index cache (csv/index_cache.h) keys on.
+// the source alive while any view into it is parsed. For mapped files
+// the source also keeps the (size, mtime_ns) pair it opened, so
+// VerifyUnchanged can detect a writer that changed the file mid-parse.
 
 #ifndef STRUDEL_CSV_MMAP_SOURCE_H_
 #define STRUDEL_CSV_MMAP_SOURCE_H_
@@ -99,11 +99,6 @@ class MmapSource {
   }
 
   bool used_mmap() const { return map_ != nullptr; }
-  /// True for regular files — the inputs whose (path, mtime_ns, size)
-  /// identity is stable enough to key the structural-index cache.
-  bool is_regular_file() const { return regular_; }
-  uint64_t mtime_ns() const { return mtime_ns_; }
-  uint64_t file_size() const { return size_; }
   const IoTelemetry& telemetry() const { return telemetry_; }
 
   /// Re-fstats a mapped regular file and fails with kIOError when its
@@ -129,7 +124,6 @@ class MmapSource {
   /// the exact inode that was mapped; -1 for buffered sources.
   int fd_ = -1;
   std::string path_;
-  bool regular_ = false;
   uint64_t mtime_ns_ = 0;
   uint64_t size_ = 0;
   IoTelemetry telemetry_;

@@ -592,33 +592,15 @@ Result<std::vector<std::vector<std::string>>> ParseCsv(
   const bool prune = !line_limit_can_trip;
 
   StructuralIndex index;
-  IndexCacheStatus cache_status = IndexCacheStatus::kDisabled;
-  IndexCacheKey cache_key;
-  // The cache needs a stable on-disk identity; in-memory text, pipes and
-  // stdin never set cache_identity.valid, so they always rescan.
-  const bool cache_usable =
-      options.index_cache != nullptr && options.cache_identity.valid;
-  if (cache_usable) {
-    cache_key =
-        MakeIndexCacheKey(options.cache_identity, text, options.dialect, prune);
-    STRUDEL_TRACE_SPAN("csv.scan.index_cache_lookup");
-    cache_status = options.index_cache->Lookup(cache_key, &index);
+  {
+    STRUDEL_TRACE_SPAN("csv.scan.build_index");
+    BuildStructuralIndexParallel(
+        text, options.dialect,
+        {options.num_threads, options.parallel_chunk_bytes, prune}, &index);
   }
-  if (cache_status != IndexCacheStatus::kHit) {
-    {
-      STRUDEL_TRACE_SPAN("csv.scan.build_index");
-      BuildStructuralIndexParallel(
-          text, options.dialect,
-          {options.num_threads, options.parallel_chunk_bytes, prune}, &index);
-    }
-    if (index.speculation_repairs > 0) {
-      metrics::GetCounter("csv.scan.speculation_repairs")
-          .Add(index.speculation_repairs);
-    }
-    if (cache_usable) {
-      STRUDEL_TRACE_SPAN("csv.scan.index_cache_store");
-      options.index_cache->Store(cache_key, index);
-    }
+  if (index.speculation_repairs > 0) {
+    metrics::GetCounter("csv.scan.speculation_repairs")
+        .Add(index.speculation_repairs);
   }
   telemetry.used_index = true;
   telemetry.level = index.level;
@@ -626,7 +608,6 @@ Result<std::vector<std::vector<std::string>>> ParseCsv(
   telemetry.clean_quoting = index.clean_quoting;
   telemetry.parallel_chunks = index.chunks;
   telemetry.speculation_repairs = index.speculation_repairs;
-  telemetry.cache = cache_status;
   publish();
   STRUDEL_TRACE_SPAN("csv.scan.index");
   auto rows = engine.RunIndexed(index);
@@ -689,15 +670,6 @@ Result<Table> ReadTableFromFile(const std::string& path,
                            MmapSource::Open(path, options.io_mode));
   ReaderOptions file_options = options;
   file_options.io = source.telemetry();
-  if (source.is_regular_file()) {
-    std::error_code ec;
-    const std::filesystem::path absolute =
-        std::filesystem::absolute(path, ec);
-    file_options.cache_identity.valid = true;
-    file_options.cache_identity.path = ec ? path : absolute.string();
-    file_options.cache_identity.mtime_ns = source.mtime_ns();
-    file_options.cache_identity.file_size = source.file_size();
-  }
   auto table = ReadTable(source.view(), file_options);
   if (table.ok()) {
     // Mirror of the buffered path's short-read guard: a concurrent

@@ -30,7 +30,6 @@
 #include "common/result.h"
 #include "csv/dialect.h"
 #include "csv/diagnostics.h"
-#include "csv/index_cache.h"
 #include "csv/mmap_source.h"
 #include "csv/simd_scan.h"
 #include "csv/table.h"
@@ -95,14 +94,6 @@ struct ReaderOptions {
   /// How the file-backed entry points (ReadTableFromFile, IngestFile)
   /// load the bytes. Ignored by the in-memory entry points.
   IoMode io_mode = IoMode::kAuto;
-  /// Optional persistent structural-index cache (not owned). Consulted
-  /// only when `cache_identity.valid` — i.e. the text is backed by a
-  /// regular file whose identity the file-backed entry points filled in.
-  IndexCache* index_cache = nullptr;
-  /// Identity of the file behind `text`; set by ReadTableFromFile /
-  /// IngestFile, left invalid for in-memory and unseekable inputs
-  /// (which thereby disable the cache).
-  IndexCacheIdentity cache_identity;
   /// How the input bytes were loaded; set by the file-backed entry
   /// points and copied into ScanTelemetry so doctor can attribute I/O
   /// routing the same way it attributes scan fallbacks.

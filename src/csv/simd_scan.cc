@@ -643,20 +643,4 @@ void BuildStructuralIndexParallel(std::string_view text,
                     });
 }
 
-std::string_view IndexCacheStatusName(IndexCacheStatus status) {
-  switch (status) {
-    case IndexCacheStatus::kDisabled:
-      return "disabled";
-    case IndexCacheStatus::kMiss:
-      return "miss";
-    case IndexCacheStatus::kHit:
-      return "hit";
-    case IndexCacheStatus::kStale:
-      return "stale";
-    case IndexCacheStatus::kCorrupt:
-      return "corrupt";
-  }
-  return "unknown";
-}
-
 }  // namespace strudel::csv

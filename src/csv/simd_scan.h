@@ -62,8 +62,7 @@ bool ParseScanMode(std::string_view name, ScanMode* mode);
 /// and is always runnable; the vector levels are compiled in per-arch
 /// (AVX2/AVX-512 behind per-function target attributes on x86, NEON on
 /// aarch64) and selected by runtime dispatch. The numeric values are
-/// stable: they are stored in the forced-level atomic and named in
-/// persisted index-cache entries.
+/// stored in the forced-level atomic.
 enum class SimdLevel {
   kSwar = 0,
   kAvx2 = 1,
@@ -127,14 +126,6 @@ inline bool IndexerSupportsDialect(const Dialect& dialect) {
   return IndexerFallbackReason(dialect) == ScanFallbackReason::kNone;
 }
 
-/// Version of the structural-index semantics: what counts as a
-/// structural byte, the pruning rule, and the on-the-wire meaning of
-/// `positions` and the entry metadata. Bump whenever any of those change
-/// so persisted index caches (csv/index_cache.h) from older builds are
-/// rejected as stale instead of replayed wrongly.
-/// v2: entry metadata records the SimdLevel that built the index.
-inline constexpr uint32_t kStructuralIndexVersion = 2;
-
 /// Pass-1 output: the ascending offsets of every structural byte, plus
 /// what the scan learned about the input on the way.
 struct StructuralIndex {
@@ -151,7 +142,7 @@ struct StructuralIndex {
   /// Kernel that produced the bitmaps.
   SimdLevel level = SimdLevel::kSwar;
   /// Chunks the speculative parallel build split the input into (1 for a
-  /// serial build or a cache hit).
+  /// serial build).
   uint64_t chunks = 1;
   /// Chunks whose speculated entry state was wrong and had to be
   /// re-scanned during the stitch (0 for a serial build).
@@ -273,22 +264,6 @@ BlockBitmaps ScanBlock(const char* block, char delimiter, char quote,
 /// 0..i. The carry-propagation primitive for quoted-region resolution.
 uint64_t PrefixXor(uint64_t bits);
 
-/// What the persistent structural-index cache (csv/index_cache.h) did
-/// for one ParseCsv call. Lives here (not in index_cache.h) so
-/// ScanTelemetry can embed it without a header cycle.
-enum class IndexCacheStatus {
-  kDisabled = 0,  // no cache configured, or the input has no stable
-                  // file identity (in-memory text, pipe, stdin)
-  kMiss,          // no entry for this file; the index was built and stored
-  kHit,           // the scan was skipped: index loaded and validated
-  kStale,         // an entry existed but its key no longer matches
-                  // (mtime/size/dialect/scan-version changed); rebuilt
-  kCorrupt,       // an entry existed but failed checksum or shape
-                  // validation; rebuilt from a clean rescan
-};
-
-std::string_view IndexCacheStatusName(IndexCacheStatus status);
-
 /// Telemetry sink for one ParseCsv call (set ReaderOptions::scan_telemetry
 /// to observe which path actually ran — the fallback decisions are
 /// otherwise invisible by design, since results are identical).
@@ -305,8 +280,6 @@ struct ScanTelemetry {
   size_t parallel_chunks = 1;
   /// Chunks re-scanned because their speculated entry state was wrong.
   size_t speculation_repairs = 0;
-  /// What the persistent index cache did for this parse.
-  IndexCacheStatus cache = IndexCacheStatus::kDisabled;
   /// How the input bytes were loaded (filled by file-backed callers;
   /// in-memory parses keep the default with from_file = false).
   IoTelemetry io;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <optional>
 
 #include "strudel/keywords.h"
@@ -33,9 +32,6 @@ void Scan(const csv::Table& table, const std::vector<Candidate>& candidates,
   if (candidates.empty()) return;
   const size_t n = candidates.size();
   std::vector<double> sum(n, 0.0);
-  std::vector<double> running_min(n, std::numeric_limits<double>::infinity());
-  std::vector<double> running_max(n,
-                                  -std::numeric_limits<double>::infinity());
   std::vector<int> contributions(n, 0);
 
   const int limit = axis_is_row ? table.num_rows() : table.num_cols();
@@ -53,8 +49,6 @@ void Scan(const csv::Table& table, const std::vector<Candidate>& candidates,
       const int c = axis_is_row ? candidates[i].col : pos;
       if (auto value = ParseDouble(table.cell(r, c))) {
         sum[i] += *value;
-        running_min[i] = std::min(running_min[i], *value);
-        running_max[i] = std::max(running_max[i], *value);
         ++contributions[i];
       }
     }
@@ -73,14 +67,6 @@ void Scan(const csv::Table& table, const std::vector<Candidate>& candidates,
       if (!hit && options.detect_mean) {
         const double mean = sum[i] / contributions[i];
         if (Matches(candidates[i].value, mean, options.delta)) hit = true;
-      }
-      if (!hit && options.detect_min &&
-          Matches(candidates[i].value, running_min[i], options.delta)) {
-        hit = true;
-      }
-      if (!hit && options.detect_max &&
-          Matches(candidates[i].value, running_max[i], options.delta)) {
-        hit = true;
       }
       if (hit) {
         match[i] = true;

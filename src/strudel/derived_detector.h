@@ -33,11 +33,6 @@ struct DerivedDetectorOptions {
   double coverage = 0.5;
   bool detect_sum = true;
   bool detect_mean = true;
-  /// Extension beyond the paper (its future work ii: "extend the derived
-  /// cell detection algorithm by recognizing more aggregation
-  /// functions"). Off by default to preserve the published behaviour.
-  bool detect_min = false;
-  bool detect_max = false;
   /// Aggregations of fewer than this many values are ignored — a "sum"
   /// of one row is a copy, not an aggregate.
   int min_aggregated = 2;

@@ -1,7 +1,5 @@
 #include "strudel/ingest.h"
 
-#include <filesystem>
-
 #include "common/metrics.h"
 #include "common/string_util.h"
 #include "common/trace.h"
@@ -59,19 +57,8 @@ std::string IngestResult::Report() const {
   out += StrFormat(
       "scan:     %s%s\n",
       scan.used_index
-          ? StrFormat("structural-index (%s, %zu structural bytes%s%s%s)",
-                      // On a cache hit no kernel ran this parse: the level
-                      // is the one that built the persisted entry, shown
-                      // as cache(<level>) so it reads as attribution, not
-                      // as "this kernel executed".
-                      scan.cache == csv::IndexCacheStatus::kHit
-                          ? StrFormat("cache(%s)",
-                                      std::string(
-                                          csv::SimdLevelName(scan.level))
-                                          .c_str())
-                                .c_str()
-                          : std::string(csv::SimdLevelName(scan.level))
-                                .c_str(),
+          ? StrFormat("structural-index (%s, %zu structural bytes%s%s)",
+                      std::string(csv::SimdLevelName(scan.level)).c_str(),
                       scan.structural_count,
                       scan.clean_quoting ? ", clean quoting" : "",
                       scan.parallel_chunks > 1
@@ -79,13 +66,6 @@ std::string IngestResult::Report() const {
                                       "repairs",
                                       scan.parallel_chunks,
                                       scan.speculation_repairs)
-                                .c_str()
-                          : "",
-                      scan.cache != csv::IndexCacheStatus::kDisabled
-                          ? StrFormat(", index cache %s",
-                                      std::string(csv::IndexCacheStatusName(
-                                                      scan.cache))
-                                          .c_str())
                                 .c_str()
                           : "")
                 .c_str()
@@ -187,18 +167,6 @@ Result<IngestResult> IngestFile(const std::string& path,
       csv::MmapSource::Open(path, options.reader.io_mode));
   IngestOptions file_options = options;
   file_options.reader.io = source.telemetry();
-  if (source.is_regular_file()) {
-    // Regular files carry the stable (path, mtime, size) identity the
-    // structural-index cache keys on; pipes and stdin leave the identity
-    // invalid, which disables the cache for this ingest.
-    std::error_code ec;
-    const std::filesystem::path absolute =
-        std::filesystem::absolute(path, ec);
-    file_options.reader.cache_identity.valid = true;
-    file_options.reader.cache_identity.path = ec ? path : absolute.string();
-    file_options.reader.cache_identity.mtime_ns = source.mtime_ns();
-    file_options.reader.cache_identity.file_size = source.file_size();
-  }
   auto result = IngestText(source.view(), file_options);
   if (result.ok()) {
     // A mapped file is not a snapshot: if a writer truncated or rewrote

@@ -30,9 +30,6 @@ TEST(MmapSourceTest, AutoBuffersSmallFilesWithTooSmallAttribution) {
   ASSERT_TRUE(source.ok()) << source.status().ToString();
   EXPECT_EQ(source->view(), "a,b\nc,d\n");
   EXPECT_FALSE(source->used_mmap());
-  EXPECT_TRUE(source->is_regular_file());
-  EXPECT_GT(source->mtime_ns(), 0u);
-  EXPECT_EQ(source->file_size(), 8u);
   EXPECT_EQ(source->telemetry().requested, IoMode::kAuto);
   EXPECT_TRUE(source->telemetry().from_file);
   EXPECT_EQ(source->telemetry().fallback, IoFallbackReason::kFileTooSmall);

@@ -16,7 +16,6 @@
 #include "eval/algos.h"
 #include "eval/report.h"
 #include "strudel/model_io.h"
-#include "strudel/postprocess.h"
 #include "strudel/segmentation.h"
 #include "strudel/strudel_cell.h"
 #include "testing/test_tables.h"
@@ -141,7 +140,6 @@ TEST(IntegrationTest, ExtensionsComposeIntoOnePipeline) {
 
   const AnnotatedFile& file = (*corpus)[0];
   CellPrediction prediction = model->Predict(file.table);
-  PostprocessCellPredictions(file.table, prediction.classes);
   FileSegmentation segmentation =
       SegmentFile(file.table, prediction.line_prediction.classes);
   auto tables = ExtractRelationalTables(file.table, segmentation);

@@ -221,8 +221,9 @@ TEST(DerivedDetectorTest, RaggedRowsAreSafe) {
   EXPECT_FALSE(result.at(3, 0));
 }
 
-TEST(DerivedDetectorTest, MinMaxExtensionDetectsExtremes) {
-  // "All" anchors the row; 30 is the max of the values above.
+TEST(DerivedDetectorTest, MaxOfValuesIsNotMarkedWithSumAndMeanOff) {
+  // "All" anchors the row; 30 is the max of the values above, which
+  // Algorithm 2 does not match, so with sum and mean off nothing is found.
   csv::Table table = MakeTable({
       {"x", "10"},
       {"y", "30"},
@@ -232,29 +233,8 @@ TEST(DerivedDetectorTest, MinMaxExtensionDetectsExtremes) {
   DerivedDetectorOptions options;
   options.detect_sum = false;
   options.detect_mean = false;
-  // Published configuration: min/max off -> nothing found.
   DerivedDetectionResult result = DetectDerivedCells(table, options);
   EXPECT_FALSE(result.at(3, 1));
-  // Extension on: the max matches.
-  options.detect_max = true;
-  result = DetectDerivedCells(table, options);
-  EXPECT_TRUE(result.at(3, 1));
-}
-
-TEST(DerivedDetectorTest, MinExtension) {
-  csv::Table table = MakeTable({
-      {"x", "10"},
-      {"y", "30"},
-      {"Total low", "10"},
-  });
-  DerivedDetectorOptions options;
-  options.detect_sum = false;
-  options.detect_mean = false;
-  options.detect_min = true;
-  DerivedDetectionResult result = DetectDerivedCells(table, options);
-  EXPECT_TRUE(result.at(2, 1));
-  // 30 is not close to min 10 within 10% tolerance.
-  EXPECT_FALSE(result.at(1, 1));
 }
 
 TEST(DerivedDetectorTest, EmptyTableIsSafe) {

@@ -1,8 +1,11 @@
 #include "strudel/ingest.h"
 
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 
+#include <cstdio>
 #include <fstream>
+#include <thread>
 
 #include "csv/simd_scan.h"
 #include "csv/writer.h"
@@ -190,6 +193,27 @@ TEST(IngestTest, ForcedMmapIsReportedWithoutAFallback) {
   EXPECT_EQ(csv::WriteTable(result->table),
             csv::WriteTable(in_memory->table));
   std::remove(path.c_str());
+}
+
+TEST(IngestTest, FifoInputIsReadBufferedAndAttributed) {
+  // A FIFO has no size to map, so kAuto must read it buffered and doctor
+  // must name the reason.
+  const std::string path = ::testing::TempDir() + "/ingest_fifo.csv";
+  std::remove(path.c_str());
+  ASSERT_EQ(::mkfifo(path.c_str(), 0600), 0);
+  std::thread writer([&] {
+    std::ofstream out(path, std::ios::binary);
+    out << "a,b\n\"c,d\",e\n";
+  });
+  auto result = IngestFile(path);
+  writer.join();
+  std::remove(path.c_str());
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_FALSE(result->scan.io.used_mmap);
+  EXPECT_EQ(result->scan.io.fallback, csv::IoFallbackReason::kNotRegularFile);
+  EXPECT_NE(result->Report().find("not_regular_file"), std::string::npos)
+      << result->Report();
+  EXPECT_EQ(result->table.num_rows(), 2);
 }
 
 TEST(IngestTest, InMemoryIngestReportsInMemoryIo) {

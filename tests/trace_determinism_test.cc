@@ -18,7 +18,6 @@
 #include "datagen/corpus.h"
 #include "ml/crf.h"
 #include "strudel/ingest.h"
-#include "strudel/postprocess.h"
 #include "strudel/strudel_cell.h"
 
 namespace strudel {
@@ -62,7 +61,7 @@ struct PipelineRun {
 
 // One full pipeline pass under capture: ingestion (sanitize, dialect
 // detection, scan), line + cell featurisation and forest fit/predict via
-// the cell model, a linear-chain CRF fit/predict, and postprocessing.
+// the cell model, and a linear-chain CRF fit/predict.
 PipelineRun RunPipeline(int num_threads) {
   metrics::ResetForTest();
   trace::StartCapture();
@@ -89,9 +88,6 @@ PipelineRun RunPipeline(int num_threads) {
   sequences[1].labels = {1, 0, 1, 0, 1, 0};
   EXPECT_TRUE(crf.Fit(sequences, 2).ok());
   (void)crf.Predict(sequences[0].features);
-
-  std::vector<std::vector<int>> labels = prediction->classes;
-  (void)PostprocessCellPredictions(ingest->table, labels, {});
 
   PipelineRun run;
   run.tree = trace::NormalizedTree(trace::StopCapture());
@@ -125,8 +121,7 @@ TEST(TraceDeterminismTest, AllSevenPipelineStagesAppearInTheTree) {
   const PipelineRun run = RunPipeline(2);
   for (const char* span : {"csv.sanitize", "csv.detect_dialect", "csv.scan.",
                            "featurize.lines", "featurize.cells", "forest.fit",
-                           "forest.predict", "crf.fit", "crf.predict",
-                           "postprocess"}) {
+                           "forest.predict", "crf.fit", "crf.predict"}) {
     EXPECT_NE(run.tree.find(span), std::string::npos)
         << "missing span " << span << " in tree:\n"
         << run.tree;
@@ -134,7 +129,7 @@ TEST(TraceDeterminismTest, AllSevenPipelineStagesAppearInTheTree) {
   for (const char* counter :
        {"csv.rows_scanned", "csv.bytes_scanned", "featurize.lines",
         "featurize.cells", "ml.trees_trained", "crf.fit_sequences",
-        "postprocess.runs", "ingest.files"}) {
+        "ingest.files"}) {
     EXPECT_NE(run.counters.find(counter), run.counters.end())
         << "missing counter " << counter;
   }

@@ -90,10 +90,6 @@ csv::ScanMode g_scan_mode = csv::ScanMode::kAuto;
 /// large regular files and buffers pipes/stdin/small files).
 csv::IoMode g_io_mode = csv::IoMode::kAuto;
 
-/// Global --index-cache flag: directory for the persistent structural-
-/// index cache; empty = disabled.
-std::string g_index_cache_dir;
-
 /// Global --threads flag, mirrored here so ingestion's chunk-parallel
 /// structural indexing fans a single huge file across the pool.
 int g_threads = 0;
@@ -104,10 +100,6 @@ IngestOptions MakeIngestOptions() {
   options.reader.scan_mode = g_scan_mode;
   options.reader.io_mode = g_io_mode;
   options.reader.num_threads = g_threads;
-  if (!g_index_cache_dir.empty()) {
-    static csv::IndexCache cache(g_index_cache_dir);
-    options.reader.index_cache = &cache;
-  }
   return options;
 }
 
@@ -148,7 +140,6 @@ int Usage() {
       "usage: strudel [--budget-ms <n>] [--threads <n>]\n"
       "               [--scan-mode <scalar|swar|auto>]\n"
       "               [--io-mode <buffered|mmap|auto>]\n"
-      "               [--index-cache <dir>]\n"
       "               [--trace <out.json>] [--metrics <out.json>]\n"
       "               <command> ...\n"
       "  --threads <n>: workers for train/classify/extract/batch and for\n"
@@ -164,9 +155,6 @@ int Usage() {
       "                 the kernel allows; buffered always reads into a\n"
       "                 private buffer. Pipes/stdin degrade to buffered;\n"
       "                 doctor reports the fallback reason\n"
-      "  --index-cache: persist structural indexes under <dir>, keyed by\n"
-      "                 path+mtime+size+dialect+scan-version, so repeated\n"
-      "                 ingests of an unchanged file skip the scan\n"
       "  --trace:       write a chrome://tracing JSON of every pipeline\n"
       "                 stage the command ran (load it at ui.perfetto.dev)\n"
       "  --metrics:     write the flat metrics registry (counters, gauges,\n"
@@ -848,11 +836,6 @@ int main(int argc, char** argv) {
       }
     } else if (arg.rfind("--io-mode=", 0) == 0) {
       if (!csv::ParseIoMode(arg.substr(10), &g_io_mode)) return Usage();
-    } else if (arg == "--index-cache") {
-      if (i + 1 >= argc) return Usage();
-      g_index_cache_dir = argv[++i];
-    } else if (arg.rfind("--index-cache=", 0) == 0) {
-      g_index_cache_dir = arg.substr(14);
     } else if (arg == "--trace") {
       if (i + 1 >= argc) return Usage();
       trace_path = argv[++i];
