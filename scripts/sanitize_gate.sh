@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Sanitizer gate for the robustness tiers: builds with ASan+UBSan and runs
 # the fault-injection (corrupted CSV input), model-fuzz (corrupted
-# serialised model), differential-scan (SIMD indexer vs scalar reader,
-# including the chunk-parallel speculative build), observability
+# serialised model), differential (SIMD indexer vs scalar reader,
+# including the chunk-parallel speculative build; the flat forest's
+# probabilities and its early-exit vote vs the trees), observability
 # (trace/metrics determinism across thread counts) and serve (torn
 # frames, overload storms, drain races against a live server, plus the
 # supervision chaos suite: worker SIGKILLs, poison payloads, watchdog

@@ -8,24 +8,62 @@
 // into one contiguous array of packed 24-byte internal nodes (threshold,
 // feature index, left child, right child — everything one traversal step
 // reads, in one cache line) laid out breadth-first per tree, plus one
-// dense `num_leaves x num_classes` matrix of leaf distributions. The
+// dense `leaf rows x num_classes` matrix of leaf distributions. The
 // layout is never serialised: model files carry only the trees.
 // A child reference >= 0 is an internal-node index; a negative reference
-// encodes a leaf as `~leaf_index`. Traversal provably terminates because
+// encodes a leaf as `~leaf_row`. Traversal provably terminates because
 // of two invariants. DecisionTree::Load rejects any tree whose children
 // do not come strictly after their parent, so every source tree is
 // acyclic. Build then assigns internal indices in BFS order, so every
 // internal child index is strictly greater than its parent's.
 //
+// Shared one-hot rows. Each class has at most one one-hot leaf row, made
+// when the class's first pure leaf (one entry exactly 1.0, the rest +0.0)
+// appears, and every pure leaf of that class references it; only mixed
+// leaves get a row of their own. Fully grown trees are almost all pure
+// leaves, so the leaf matrix shrinks from one row per leaf to k rows plus
+// the few mixed ones. A pure leaf's own row would hold exactly the values
+// of the shared row, so every walk adds the same values as before.
+//
 // Bit-identity with the trees is by construction: the walk takes the
 // same `value <= threshold` branches as DecisionTree::PredictProba (NaN
-// features go right in both), lands on the same leaf distribution (copied
-// verbatim at Build), and accumulates leaf probabilities in tree order
+// features go right in both), lands on a row holding the leaf's
+// distribution verbatim, and accumulates leaf probabilities in tree order
 // before one final `*= 1/num_trees`. Summing the trees'
 // DecisionTree::PredictProba the same way is the identical IEEE-754
 // operation sequence per output element. The differential suite
 // (ctest -L differential) holds the flat walk to that tree-summed oracle
 // at 1/2/8 threads and across save/load round-trips.
+//
+// The early-exit vote (VoteBlock). A caller that needs only each row's
+// class — the argmax, lowest index on ties, of the probabilities above —
+// stops a row's walk once the class can no longer change. After w of the
+// T trees, let L be the largest accumulator (the leader, lowest index on
+// ties), R the largest of the others and r = T - w the trees left. The
+// row stops when (L - R) - r > delta, with delta = T^2 * 2^-50, computed
+// in that order in doubles; no row can stop before w > T/2, so the check
+// starts there. The exit is exact, not approximate. Write u = 2^-53.
+//  1. Every leaf entry is in [0, 1] (Build checks this and turns the exit
+//     off for a forest that breaks it), so an accumulator after w adds is
+//     at most w <= T: each rounded add is monotone and w is exact. Each
+//     add therefore rounds by at most T*u.
+//  2. The check's two subtractions round by at most T*u each, so a
+//     passing check means L - R - r > delta - 2*T*u exactly.
+//  3. Over the r remaining adds the leader's final sum is at least
+//     L - r*T*u and any other class's is at most R + r + r*T*u, so the
+//     leader stays ahead by more than delta - 2*(r + 1)*T*u.
+//  4. The final scale by 1/T rounds each value (<= 1 + u) by at most u,
+//     so the scaled leader stays strictly above every other class when
+//     the unscaled gap exceeds about 2*T*u.
+// Steps 2-4 need delta > 2*(r + 2)*T*u, and r < T/2 at every check, so
+// delta = T^2 * 2^-50 = 8*T^2*u suffices for every T >= 1. The leader
+// then is the argmax PredictBlock's probabilities would give, and also
+// the argmax of the scaled partial sums (it leads them by more than
+// delta), so every row's class is the argmax of its scaled sums, whether
+// its walk stopped early or ran all T trees. The paired walk exits per
+// lane: when one lane settles, the other finishes alone, so a row's tree
+// count depends only on the row — never on its partner, the chunking or
+// the thread count.
 
 #ifndef STRUDEL_ML_FLAT_FOREST_H_
 #define STRUDEL_ML_FLAT_FOREST_H_
@@ -64,10 +102,30 @@ class FlatForest {
   size_t num_features() const { return num_features_; }
   int num_trees() const { return num_trees_; }
   size_t num_internal_nodes() const { return nodes_.size(); }
-  size_t num_leaves() const {
+  /// Leaves of the source trees, i.e. leaf references in the layout.
+  size_t num_leaves() const { return num_leaves_; }
+  /// Rows of the leaf matrix: one one-hot row per class that has a pure
+  /// leaf, plus one row per mixed leaf.
+  size_t num_leaf_rows() const {
     return num_classes_ > 0 ? leaf_proba_.size() /
                                   static_cast<size_t>(num_classes_)
                             : 0;
+  }
+
+  /// Per-tree root references, the packed nodes and one leaf row: the
+  /// layout, read-only, for tests that check its invariants.
+  const std::vector<int32_t>& roots() const { return roots_; }
+  const std::vector<Node>& nodes() const { return nodes_; }
+  std::span<const double> leaf_row(size_t row) const {
+    const size_t k = static_cast<size_t>(num_classes_);
+    return std::span<const double>(leaf_proba_).subspan(row * k, k);
+  }
+
+  /// The early-exit slack delta = T^2 * 2^-50 for a T-tree forest (see
+  /// the header comment).
+  static double ExitSlack(int num_trees) {
+    const double t = static_cast<double>(num_trees);
+    return t * t * 0x1p-50;
   }
 
   /// Averaged class probabilities for rows [row_begin, row_end) of
@@ -79,6 +137,13 @@ class FlatForest {
   void PredictBlock(const Matrix& features, size_t row_begin, size_t row_end,
                     double* out) const;
 
+  /// Classes for rows [row_begin, row_end) into `out`: per row the argmax
+  /// (lowest index on ties) of PredictBlock's probabilities, found with
+  /// the exact early exit of the header comment. Returns the number of
+  /// trees walked, summed over the rows.
+  uint64_t VoteBlock(const Matrix& features, size_t row_begin,
+                     size_t row_end, int* out) const;
+
   /// Single-row probabilities (the forest's per-row PredictProba).
   std::vector<double> PredictProba(std::span<const double> features) const;
 
@@ -87,18 +152,32 @@ class FlatForest {
   bool operator==(const FlatForest& other) const = default;
 
  private:
-  int32_t AddLeaf(std::span<const double> distribution);
+  /// Returns the leaf row for `distribution`: its class's shared one-hot
+  /// row (`class_rows`, made on first use) when pure, else a new row.
+  int32_t AddLeaf(std::span<const double> distribution,
+                  std::vector<int32_t>& class_rows);
+
+  /// Walks trees [tree, T) for one row, adding each leaf row into `acc`
+  /// (k wide) and stopping once the vote is settled. Returns the index
+  /// one past the last tree walked.
+  size_t FinishVote(const double* row, size_t tree, double* acc) const;
+  /// Whether a row's accumulators after `walked` trees fix its class.
+  bool Settled(const double* acc, size_t walked) const;
 
   int num_classes_ = 0;
   int num_trees_ = 0;
   size_t num_features_ = 0;
-  /// Per-tree root reference: internal-node index or ~leaf_index.
+  size_t num_leaves_ = 0;
+  /// True when every leaf entry lies in [0, 1], the premise of the early
+  /// exit; VoteBlock walks every tree otherwise.
+  bool vote_can_exit_ = true;
+  /// Per-tree root reference: internal-node index or ~leaf_row.
   std::vector<int32_t> roots_;
   /// Packed internal nodes, breadth-first per tree, tree ranges
   /// contiguous and in tree order.
   std::vector<Node> nodes_;
-  /// num_leaves x num_classes row-major leaf class distributions, in
-  /// BFS-discovery order.
+  /// num_leaf_rows x num_classes row-major leaf class distributions, in
+  /// BFS-discovery order of each row's first leaf.
   std::vector<double> leaf_proba_;
 };
 

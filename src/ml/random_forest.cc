@@ -141,7 +141,7 @@ std::vector<double> RandomForest::PredictProba(
 
 Status RandomForest::PredictChunks(
     const Matrix& features, ExecutionBudget* budget, const char* budget_stage,
-    const std::function<void(size_t, size_t, const double*)>& emit) const {
+    const std::function<uint64_t(size_t, size_t)>& predict) const {
   if (trees_.empty() || features.rows() == 0) return Status::OK();
   // Validation hoisted out of the row loop: every row of a Matrix has the
   // same width, so one check covers the whole batch.
@@ -153,8 +153,9 @@ Status RandomForest::PredictChunks(
   }
   static metrics::Counter& rows_predicted =
       metrics::GetCounter("ml.forest_rows_predicted");
+  static metrics::Counter& trees_walked =
+      metrics::GetCounter("ml.forest_trees_walked");
   rows_predicted.Add(features.rows());
-  const size_t k = static_cast<size_t>(num_classes_);
   // Row-chunked voting: each chunk owns a disjoint slice of the output,
   // so the result is identical to the serial loop at any thread count.
   return ParallelFor(
@@ -163,9 +164,7 @@ Status RandomForest::PredictChunks(
         if (budget != nullptr) {
           STRUDEL_RETURN_IF_ERROR(budget->Charge(budget_stage, end - begin));
         }
-        std::vector<double> block((end - begin) * k);
-        flat_.PredictBlock(features, begin, end, block.data());
-        emit(begin, end, block.data());
+        trees_walked.Add(predict(begin, end));
         return Status::OK();
       },
       budget);
@@ -177,13 +176,17 @@ Status RandomForest::TryPredictProbaAll(
   STRUDEL_TRACE_SPAN("forest.predict_all");
   const size_t k = static_cast<size_t>(num_classes_);
   out->assign(features.rows(), std::vector<double>(k, 0.0));
-  return PredictChunks(
-      features, budget, budget_stage,
-      [&](size_t begin, size_t end, const double* block) {
+  const Status status = PredictChunks(
+      features, budget, budget_stage, [&](size_t begin, size_t end) {
+        std::vector<double> block((end - begin) * k);
+        flat_.PredictBlock(features, begin, end, block.data());
         for (size_t i = begin; i < end; ++i) {
-          std::copy_n(block + (i - begin) * k, k, (*out)[i].data());
+          std::copy_n(block.data() + (i - begin) * k, k, (*out)[i].data());
         }
+        return static_cast<uint64_t>(end - begin) * trees_.size();
       });
+  if (!status.ok()) out->assign(features.rows(), std::vector<double>(k, 0.0));
+  return status;
 }
 
 Status RandomForest::TryPredictAll(const Matrix& features,
@@ -191,19 +194,13 @@ Status RandomForest::TryPredictAll(const Matrix& features,
                                    const char* budget_stage,
                                    std::vector<int>* out) const {
   STRUDEL_TRACE_SPAN("forest.predict_all");
-  const size_t k = static_cast<size_t>(num_classes_);
   out->assign(features.rows(), 0);
-  // ArgMax ties resolve to the lowest index (std::max_element), matching
-  // common/math_util.h ArgMax, so the classes equal the argmax of
-  // TryPredictProbaAll's probabilities.
-  return PredictChunks(
-      features, budget, budget_stage,
-      [&](size_t begin, size_t end, const double* block) {
-        for (size_t i = begin; i < end; ++i) {
-          const double* row = block + (i - begin) * k;
-          (*out)[i] = static_cast<int>(std::max_element(row, row + k) - row);
-        }
+  const Status status = PredictChunks(
+      features, budget, budget_stage, [&](size_t begin, size_t end) {
+        return flat_.VoteBlock(features, begin, end, out->data() + begin);
       });
+  if (!status.ok()) out->assign(features.rows(), 0);
+  return status;
 }
 
 std::vector<std::vector<double>> RandomForest::PredictProbaAll(

@@ -60,9 +60,12 @@ class RandomForest final : public Classifier {
 
   /// Budget-aware batched prediction: validates the feature count once,
   /// charges `budget_stage` one unit per row (chunk-batched), and walks
-  /// row chunks through the flat forest. Output is bit-identical at every
-  /// thread count. `out` is resized/overwritten; on error it holds
-  /// all-zero probabilities (resp. class 0).
+  /// row chunks through the flat forest. TryPredictAll stops each row's
+  /// walk once its class is fixed (FlatForest::VoteBlock), so its classes
+  /// are the argmax of TryPredictProbaAll's probabilities. Output is
+  /// bit-identical at every thread count. `out` is resized/overwritten; on
+  /// error it is reset to all-zero probabilities (resp. class 0), even
+  /// where chunks had finished before the error.
   Status TryPredictProbaAll(const Matrix& features, ExecutionBudget* budget,
                             const char* budget_stage,
                             std::vector<std::vector<double>>* out) const;
@@ -111,13 +114,14 @@ class RandomForest final : public Classifier {
   static constexpr size_t kPredictChunkRows = 64;
 
   /// Shared body of the Try*All paths: validates the batch, charges the
-  /// budget per chunk, and hands each row chunk's flat-forest
-  /// probabilities (row-major, num_classes wide) to `emit(begin, end,
-  /// block)`. Chunks write disjoint output rows.
+  /// budget per chunk, and runs `predict(begin, end)` on each row chunk,
+  /// which writes output rows [begin, end) and returns the trees it
+  /// walked (added to ml.forest_trees_walked once per chunk). Chunks
+  /// write disjoint output rows.
   Status PredictChunks(
       const Matrix& features, ExecutionBudget* budget,
       const char* budget_stage,
-      const std::function<void(size_t, size_t, const double*)>& emit) const;
+      const std::function<uint64_t(size_t, size_t)>& predict) const;
 
   RandomForestOptions options_;
   std::vector<DecisionTree> trees_;

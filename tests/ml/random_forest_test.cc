@@ -148,6 +148,37 @@ TEST(RandomForestTest, PredictAllMatchesScalarPredict) {
   }
 }
 
+TEST(RandomForestTest, BudgetTripResetsBatchedOutputsToZero) {
+  // 600 rows in 64-row chunks against a 200-unit work cap: three chunks
+  // fit and the fourth trips the budget. The rows the finished chunks
+  // wrote must not survive the error.
+  Dataset data = SpiralDataset(600, 4, 21);
+  RandomForestOptions options = SmallForest();
+  options.num_trees = 5;
+  options.num_threads = 1;
+  RandomForest forest(options);
+  ASSERT_TRUE(forest.Fit(data).ok());
+
+  std::vector<int> classes;
+  auto budget = ExecutionBudget::Limited(0.0, 200);
+  EXPECT_FALSE(
+      forest.TryPredictAll(data.features, budget.get(), "predict", &classes)
+          .ok());
+  ASSERT_EQ(classes.size(), data.size());
+  for (const int cls : classes) ASSERT_EQ(cls, 0);
+
+  std::vector<std::vector<double>> probas;
+  budget = ExecutionBudget::Limited(0.0, 200);
+  EXPECT_FALSE(forest
+                   .TryPredictProbaAll(data.features, budget.get(), "predict",
+                                       &probas)
+                   .ok());
+  ASSERT_EQ(probas.size(), data.size());
+  for (const std::vector<double>& row : probas) {
+    ASSERT_EQ(row, std::vector<double>(4, 0.0));
+  }
+}
+
 TEST(RandomForestTest, OobScoreApproximatesHeldOutAccuracy) {
   Dataset train = SpiralDataset(500, 3, 11);
   Dataset test = SpiralDataset(300, 3, 12);

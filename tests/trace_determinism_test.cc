@@ -128,8 +128,8 @@ TEST(TraceDeterminismTest, AllSevenPipelineStagesAppearInTheTree) {
   }
   for (const char* counter :
        {"csv.rows_scanned", "csv.bytes_scanned", "featurize.lines",
-        "featurize.cells", "ml.trees_trained", "crf.fit_sequences",
-        "ingest.files"}) {
+        "featurize.cells", "ml.trees_trained", "ml.forest_trees_walked",
+        "crf.fit_sequences", "ingest.files"}) {
     EXPECT_NE(run.counters.find(counter), run.counters.end())
         << "missing counter " << counter;
   }
