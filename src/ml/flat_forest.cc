@@ -58,19 +58,12 @@ inline void AddRow(const double* leaf, size_t k, double* acc) {
   for (size_t c = 0; c < k; ++c) acc[c] += leaf[c];
 }
 
-// Argmax of the scaled sums, lowest index on ties (std::max_element),
-// matching common/math_util.h ArgMax over PredictBlock's output.
-int ScaledArgMax(const double* acc, size_t k, double scale) {
-  size_t best = 0;
-  double best_value = acc[0] * scale;
-  for (size_t c = 1; c < k; ++c) {
-    const double value = acc[c] * scale;
-    if (value > best_value) {
-      best = c;
-      best_value = value;
-    }
-  }
-  return static_cast<int>(best);
+// Scales the sums in place, as PredictBlock does, and returns their
+// argmax, lowest index on ties (std::max_element, like common/math_util.h
+// ArgMax).
+int ScaledArgMax(double* acc, size_t k, double scale) {
+  for (size_t c = 0; c < k; ++c) acc[c] *= scale;
+  return static_cast<int>(std::max_element(acc, acc + k) - acc);
 }
 
 }  // namespace
