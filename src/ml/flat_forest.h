@@ -21,9 +21,9 @@
 // when the class's first pure leaf (one entry exactly 1.0, the rest +0.0)
 // appears, and every pure leaf of that class references it; only mixed
 // leaves get a row of their own. Fully grown trees are almost all pure
-// leaves, so the leaf matrix shrinks from one row per leaf to k rows plus
-// the few mixed ones. A pure leaf's own row would hold exactly the values
-// of the shared row, so every walk adds the same values as before.
+// leaves, so the leaf matrix holds k rows plus the few mixed ones instead
+// of one row per leaf. The shared row holds exactly a pure leaf's
+// distribution, so every walk still adds each leaf's own values.
 //
 // Bit-identity with the trees is by construction: the walk takes the
 // same `value <= threshold` branches as DecisionTree::PredictProba (NaN
