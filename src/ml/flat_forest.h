@@ -52,18 +52,19 @@
 //  3. Over the r remaining adds the leader's final sum is at least
 //     L - r*T*u and any other class's is at most R + r + r*T*u, so the
 //     leader stays ahead by more than delta - 2*(r + 1)*T*u.
-//  4. The final scale by 1/T rounds each value (<= 1 + u) by at most u,
-//     so the scaled leader stays strictly above every other class when
-//     the unscaled gap exceeds about 2*T*u.
-// Steps 2-4 need delta > 2*(r + 2)*T*u, and r < T/2 at every check, so
-// delta = T^2 * 2^-50 = 8*T^2*u suffices for every T >= 1. The leader
-// then is the argmax PredictBlock's probabilities would give, and also
-// the argmax of the scaled partial sums (it leads them by more than
-// delta), so every row's class is the argmax of its scaled sums, whether
-// its walk stopped early or ran all T trees. The paired walk exits per
-// lane: when one lane settles, the other finishes alone, so a row's tree
-// count depends only on the row — never on its partner, the chunking or
-// the thread count.
+//  4. The final scale by q = fl(1/T) >= (1 - u)/T rounds each value
+//     (<= 1 + u) by at most u*(1 + u), so the scaled leader stays
+//     strictly above every other class when the unscaled gap exceeds
+//     2*T*u*(1 + u)/(1 - u), which is at most 2*T*u + 6*T*u^2.
+// So delta >= 2*(r + 2)*T*u + 6*T*u^2 suffices, and r < T/2 at every
+// check, so delta = T^2 * 2^-50 = 8*T^2*u does for every T >= 1
+// (8*T^2 >= T^2 + 4*T + 6*T*u). The leader then is the argmax
+// PredictBlock's probabilities would give, and also the argmax of the
+// scaled partial sums (it leads them by more than delta - 2*T*u, past
+// step 4's threshold), so every row's class is the argmax of its scaled
+// sums, whether its walk stopped early or ran all T trees. The paired walk exits per lane: when one lane
+// settles, the other finishes alone, so a row's tree count depends only
+// on the row — never on its partner, the chunking or the thread count.
 
 #ifndef STRUDEL_ML_FLAT_FOREST_H_
 #define STRUDEL_ML_FLAT_FOREST_H_
