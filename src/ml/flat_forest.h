@@ -62,9 +62,11 @@
 // PredictBlock's probabilities would give, and also the argmax of the
 // scaled partial sums (it leads them by more than delta - 2*T*u, past
 // step 4's threshold), so every row's class is the argmax of its scaled
-// sums, whether its walk stopped early or ran all T trees. The paired walk exits per lane: when one lane
-// settles, the other finishes alone, so a row's tree count depends only
-// on the row — never on its partner, the chunking or the thread count.
+// sums, whether its walk stopped early or ran all T trees.
+//
+// The paired walk exits per lane: when one lane settles, the other
+// finishes alone, so a row's tree count depends only on the row — never
+// on its partner, the chunking or the thread count.
 
 #ifndef STRUDEL_ML_FLAT_FOREST_H_
 #define STRUDEL_ML_FLAT_FOREST_H_

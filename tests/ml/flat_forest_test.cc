@@ -1,9 +1,8 @@
 // FlatForest unit tests: layout edge cases (leaf-only trees, empty
 // forests, deep unbalanced chains, pure leaves sharing one-hot rows) and
-// block-vs-row agreement. The
-// bit-identity of the flat walk with the trees on trained forests is
-// proven separately by the differential suite
-// (tests/ml/forest_differential_test.cc, ctest -L differential).
+// block-vs-row agreement. The bit-identity of the flat walk with the
+// trees on trained forests is proven separately by the differential
+// suite (tests/ml/forest_differential_test.cc, ctest -L differential).
 
 #include "ml/flat_forest.h"
 
