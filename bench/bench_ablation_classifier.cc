@@ -2,7 +2,8 @@
 // Bayes, KNN, SVM and random forest and reports that "random forest
 // consistently outperformed the other candidate algorithms on our
 // datasets for both classification tasks". This bench swaps the backbone
-// of Strudel^L while keeping the feature pipeline fixed.
+// of Strudel^L while keeping the feature pipeline fixed: the forest row
+// runs the production StrudelLine, the others eval::BackboneLineAlgo.
 
 #include <cstdio>
 
@@ -25,37 +26,22 @@ int main(int argc, char** argv) {
     auto forest_algo = std::make_shared<eval::StrudelLineAlgo>(
         bench::LineAlgoOptions(config));
 
-    eval::StrudelLineAlgo::Options nb_options =
-        bench::LineAlgoOptions(config);
-    nb_options.display_name = "Strudel^L(NaiveBayes)";
-    nb_options.backbone_prototype =
-        std::make_shared<ml::GaussianNaiveBayes>();
-    auto nb_algo = std::make_shared<eval::StrudelLineAlgo>(nb_options);
-
-    eval::StrudelLineAlgo::Options knn_options =
-        bench::LineAlgoOptions(config);
-    knn_options.display_name = "Strudel^L(KNN)";
-    knn_options.backbone_prototype =
-        std::make_shared<ml::KnnClassifier>(ml::KnnOptions{5, true});
-    auto knn_algo = std::make_shared<eval::StrudelLineAlgo>(knn_options);
-
-    eval::StrudelLineAlgo::Options mlp_options =
-        bench::LineAlgoOptions(config);
-    mlp_options.display_name = "Strudel^L(MLP)";
+    // The same line features and normalisation, another backbone.
+    auto nb_algo = std::make_shared<eval::BackboneLineAlgo>(
+        "Strudel^L(NaiveBayes)", std::make_shared<ml::GaussianNaiveBayes>());
+    auto knn_algo = std::make_shared<eval::BackboneLineAlgo>(
+        "Strudel^L(KNN)",
+        std::make_shared<ml::KnnClassifier>(ml::KnnOptions{5, true}));
     ml::MlpOptions mlp;
     mlp.epochs = config.full ? 40 : 15;
     mlp.seed = config.seed;
-    mlp_options.backbone_prototype = std::make_shared<ml::Mlp>(mlp);
-    auto mlp_algo = std::make_shared<eval::StrudelLineAlgo>(mlp_options);
-
-    eval::StrudelLineAlgo::Options svm_options =
-        bench::LineAlgoOptions(config);
-    svm_options.display_name = "Strudel^L(SVM)";
+    auto mlp_algo = std::make_shared<eval::BackboneLineAlgo>(
+        "Strudel^L(MLP)", std::make_shared<ml::Mlp>(mlp));
     ml::SvmOptions svm;
     svm.epochs = config.full ? 60 : 25;
     svm.seed = config.seed;
-    svm_options.backbone_prototype = std::make_shared<ml::LinearSvm>(svm);
-    auto svm_algo = std::make_shared<eval::StrudelLineAlgo>(svm_options);
+    auto svm_algo = std::make_shared<eval::BackboneLineAlgo>(
+        "Strudel^L(SVM)", std::make_shared<ml::LinearSvm>(svm));
 
     auto results = eval::RunLineCv(
         corpus, {forest_algo, nb_algo, knn_algo, svm_algo, mlp_algo},

@@ -11,33 +11,6 @@
 
 using namespace strudel;
 
-namespace {
-
-/// Harness adapter around the full StrudelCell pipeline (no caching —
-/// sized for this ablation only).
-class FullStrudelCellAlgo final : public eval::CellAlgo {
- public:
-  FullStrudelCellAlgo(std::string name, StrudelCellOptions options)
-      : name_(std::move(name)), options_(std::move(options)) {}
-  std::string name() const override { return name_; }
-  Status Fit(const std::vector<AnnotatedFile>& files,
-             const std::vector<size_t>& train_indices) override {
-    model_ = std::make_unique<StrudelCell>(options_);
-    return model_->Fit(FilePointers(files, train_indices));
-  }
-  std::vector<std::vector<int>> Predict(
-      const std::vector<AnnotatedFile>& files, size_t file_index) override {
-    return model_->Predict(files[file_index].table).classes;
-  }
-
- private:
-  std::string name_;
-  StrudelCellOptions options_;
-  std::unique_ptr<StrudelCell> model_;
-};
-
-}  // namespace
-
 int main(int argc, char** argv) {
   auto config = bench::ParseConfig(argc, argv);
   bench::PrintConfig(
@@ -78,17 +51,13 @@ int main(int argc, char** argv) {
     }
 
     // Strudel^C with / without the column-probability block.
-    StrudelCellOptions base;
-    base.forest.num_trees = config.trees;
-    base.forest.seed = config.seed;
-    base.line.forest.num_trees = config.trees;
-    base.line.forest.seed = config.seed;
-    base.line_cross_fit_folds = 2;
-    auto plain = std::make_shared<FullStrudelCellAlgo>("Strudel^C", base);
-    StrudelCellOptions with_columns = base;
-    with_columns.use_column_probabilities = true;
-    auto extended = std::make_shared<FullStrudelCellAlgo>(
-        "Strudel^C+columns", with_columns);
+    eval::StrudelCellAlgo::Options base = bench::CellAlgoOptions(config);
+    base.model.line_cross_fit_folds = 2;
+    auto plain = std::make_shared<eval::StrudelCellAlgo>(base);
+    eval::StrudelCellAlgo::Options with_columns = base;
+    with_columns.display_name = "Strudel^C+columns";
+    with_columns.model.use_column_probabilities = true;
+    auto extended = std::make_shared<eval::StrudelCellAlgo>(with_columns);
 
     eval::CvOptions cv = bench::MakeCv(config);
     cv.folds = std::min(cv.folds, 4);  // full pipeline per fold: keep lean

@@ -77,7 +77,7 @@ int main(int argc, char** argv) {
   for (double delta : {0.1, 0.5}) {
     eval::StrudelLineAlgo::Options options = bench::LineAlgoOptions(config);
     options.display_name = StrFormat("Strudel^L(d=%.1f,c=0.5)", delta);
-    options.features.derived_options.delta = delta;
+    options.model.features.derived_options.delta = delta;
     auto algo = std::make_shared<eval::StrudelLineAlgo>(options);
     auto results = eval::RunLineCv(corpus, {algo}, bench::MakeCv(config));
     const int kDerived = static_cast<int>(ElementClass::kDerived);

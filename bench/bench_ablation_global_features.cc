@@ -22,7 +22,7 @@ int main(int argc, char** argv) {
     eval::StrudelLineAlgo::Options with_global =
         bench::LineAlgoOptions(config);
     with_global.display_name = "Strudel^L(+global)";
-    with_global.features.include_global_features = true;
+    with_global.model.features.include_global_features = true;
     auto global_algo = std::make_shared<eval::StrudelLineAlgo>(with_global);
 
     auto results = eval::RunLineCv(corpus, {local_only, global_algo},

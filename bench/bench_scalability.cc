@@ -20,16 +20,16 @@ namespace {
 using namespace strudel;
 
 // One trained model shared by all measurements (training cost is not part
-// of the per-file pipeline the paper times).
+// of the per-file pipeline the paper times). It has the shape `strudel
+// train` writes: 50 trees per stage and the default cross-fit folds.
 StrudelCell& TrainedModel() {
   static StrudelCell* model = [] {
     datagen::DatasetProfile profile =
         datagen::ScaledProfile(datagen::SausProfile(), 0.05, 0.4);
     auto corpus = datagen::GenerateCorpus(profile, 99);
     StrudelCellOptions options;
-    options.forest.num_trees = 15;
-    options.line.forest.num_trees = 15;
-    options.line_cross_fit_folds = 0;
+    options.forest.num_trees = 50;
+    options.line.forest.num_trees = 50;
     auto* m = new StrudelCell(options);
     if (!m->Fit(corpus).ok()) std::abort();
     return m;

@@ -108,19 +108,19 @@ inline eval::CvOptions MakeCv(const BenchConfig& config) {
 inline eval::StrudelLineAlgo::Options LineAlgoOptions(
     const BenchConfig& config) {
   eval::StrudelLineAlgo::Options options;
-  options.forest.num_trees = config.trees;
-  options.forest.seed = config.seed;
+  options.model.forest.num_trees = config.trees;
+  options.model.forest.seed = config.seed;
   return options;
 }
 
 inline eval::StrudelCellAlgo::Options CellAlgoOptions(
     const BenchConfig& config) {
   eval::StrudelCellAlgo::Options options;
-  options.forest.num_trees = config.trees;
-  options.forest.seed = config.seed;
-  options.line_forest.num_trees = config.trees;
-  options.line_forest.seed = config.seed;
-  options.seed = config.seed;
+  options.model.forest.num_trees = config.trees;
+  options.model.forest.seed = config.seed;
+  options.model.line.forest.num_trees = config.trees;
+  options.model.line.forest.seed = config.seed;
+  options.model.seed = config.seed;
   return options;
 }
 

@@ -33,7 +33,7 @@ run_matrix_cell() {
   cmake --build "$build_dir" -j "$(nproc)"
   # The same per-label steps as CI, so a label failure is attributable.
   ctest --test-dir "$build_dir" --output-on-failure -j "$(nproc)" \
-      -LE 'faultinjection|modelfuzz|differential|observability'
+      -LE 'faultinjection|modelfuzz|differential|observability|paper'
   ctest --test-dir "$build_dir" --output-on-failure -j "$(nproc)" \
       -L faultinjection
   ctest --test-dir "$build_dir" --output-on-failure -j "$(nproc)" \
@@ -42,6 +42,8 @@ run_matrix_cell() {
       -L differential
   ctest --test-dir "$build_dir" --output-on-failure -j "$(nproc)" \
       -L observability
+  ctest --test-dir "$build_dir" --output-on-failure -j "$(nproc)" \
+      -L paper
 }
 
 for compiler in "gcc g++" "clang clang++"; do

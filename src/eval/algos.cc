@@ -1,9 +1,6 @@
 #include "eval/algos.h"
 
-#include <algorithm>
-
-#include "common/math_util.h"
-#include "common/rng.h"
+#include <utility>
 
 namespace strudel::eval {
 
@@ -11,77 +8,57 @@ namespace strudel::eval {
 // StrudelLineAlgo
 
 StrudelLineAlgo::StrudelLineAlgo(Options options)
-    : options_(std::move(options)) {}
-
-void StrudelLineAlgo::EnsureCache(const std::vector<AnnotatedFile>& files) {
-  const void* key = files.empty() ? nullptr : &files[0];
-  if (key == cache_key_ && file_features_.size() == files.size()) return;
-  cache_key_ = key;
-  file_features_.clear();
-  file_features_.reserve(files.size());
-  for (const AnnotatedFile& file : files) {
-    file_features_.push_back(
-        ExtractLineFeatures(file.table, options_.features));
-  }
-}
+    : options_(std::move(options)), model_(options_.model) {}
 
 Status StrudelLineAlgo::Fit(const std::vector<AnnotatedFile>& files,
                             const std::vector<size_t>& train_indices) {
-  EnsureCache(files);
-  ml::Dataset data;
-  data.num_classes = kNumElementClasses;
-  data.feature_names = LineFeatureNames(options_.features);
-  for (size_t idx : train_indices) {
-    const AnnotatedFile& file = files[idx];
-    const ml::Matrix& features = file_features_[idx];
-    for (int r = 0; r < file.table.num_rows(); ++r) {
-      const int label = file.annotation.line_labels[static_cast<size_t>(r)];
-      if (label == kEmptyLabel) continue;
-      data.features.append_row(features.row(static_cast<size_t>(r)));
-      data.labels.push_back(label);
-      data.groups.push_back(static_cast<int>(idx));
-    }
-  }
-  if (data.size() == 0) {
-    return Status::InvalidArgument("strudel_line_algo: empty training fold");
-  }
-  normalizer_.FitTransform(data.features);
-  model_ = options_.backbone_prototype
-               ? options_.backbone_prototype->CloneUntrained()
-               : std::make_unique<ml::RandomForest>(options_.forest);
-  return model_->Fit(data);
+  model_ = StrudelLine(options_.model);
+  return model_.Fit(FilePointers(files, train_indices));
 }
 
 std::vector<int> StrudelLineAlgo::Predict(
     const std::vector<AnnotatedFile>& files, size_t file_index) {
-  EnsureCache(files);
-  const AnnotatedFile& file = files[file_index];
-  std::vector<int> out(static_cast<size_t>(file.table.num_rows()),
-                       kEmptyLabel);
-  if (model_ == nullptr) return out;
-  ml::Matrix features = file_features_[file_index];
-  normalizer_.Transform(features);
-  for (int r = 0; r < file.table.num_rows(); ++r) {
-    if (file.table.row_empty(r)) continue;
-    out[static_cast<size_t>(r)] =
-        model_->Predict(features.row(static_cast<size_t>(r)));
-  }
-  return out;
+  // Cannot fail without a budget.
+  return model_.TryPredict(files[file_index].table).value().classes;
 }
 
-std::vector<std::vector<double>> StrudelLineAlgo::PredictProba(
-    const std::vector<AnnotatedFile>& files, size_t file_index) const {
-  const AnnotatedFile& file = files[file_index];
-  std::vector<std::vector<double>> out(
-      static_cast<size_t>(file.table.num_rows()),
-      std::vector<double>(kNumElementClasses, 0.0));
-  if (model_ == nullptr || file_index >= file_features_.size()) return out;
-  ml::Matrix features = file_features_[file_index];
+// ---------------------------------------------------------------------------
+// BackboneLineAlgo
+
+BackboneLineAlgo::BackboneLineAlgo(
+    std::string display_name, std::shared_ptr<const ml::Classifier> backbone)
+    : display_name_(std::move(display_name)), backbone_(std::move(backbone)) {}
+
+Status BackboneLineAlgo::Fit(const std::vector<AnnotatedFile>& files,
+                             const std::vector<size_t>& train_indices) {
+  model_.reset();
+  STRUDEL_ASSIGN_OR_RETURN(
+      ml::Dataset data,
+      StrudelLine::BuildDataset(FilePointers(files, train_indices),
+                                features_, nullptr));
+  if (data.size() == 0) {
+    return Status::InvalidArgument("backbone_line_algo: empty training fold");
+  }
+  normalizer_.FitTransform(data.features);
+  model_ = backbone_->CloneUntrained();
+  return model_->Fit(data);
+}
+
+std::vector<int> BackboneLineAlgo::Predict(
+    const std::vector<AnnotatedFile>& files, size_t file_index) {
+  const csv::Table& table = files[file_index].table;
+  std::vector<int> out(static_cast<size_t>(table.num_rows()), kEmptyLabel);
+  if (model_ == nullptr) return out;
+  const DerivedDetectionResult detection =
+      DetectDerivedCells(table, features_.derived_options);
+  // Cannot fail without a budget.
+  ml::Matrix features =
+      ExtractLineFeatures(table, detection, features_, nullptr).value();
   normalizer_.Transform(features);
-  for (int r = 0; r < file.table.num_rows(); ++r) {
-    if (file.table.row_empty(r)) continue;
+  for (int r = 0; r < table.num_rows(); ++r) {
+    if (table.row_empty(r)) continue;
     out[static_cast<size_t>(r)] =
-        model_->PredictProba(features.row(static_cast<size_t>(r)));
+        model_->Predict(features.row(static_cast<size_t>(r)));
   }
   return out;
 }
@@ -126,187 +103,18 @@ std::vector<int> PytheasLineAlgo::Predict(
 // StrudelCellAlgo
 
 StrudelCellAlgo::StrudelCellAlgo(Options options)
-    : options_(std::move(options)) {
-  const std::vector<std::string> names = CellFeatureNames();
-  for (size_t i = 0; i < names.size(); ++i) {
-    if (names[i].rfind("LineClassProbability_", 0) == 0) {
-      proba_col_begin_ = i;
-      break;
-    }
-  }
-}
-
-void StrudelCellAlgo::EnsureCache(const std::vector<AnnotatedFile>& files) {
-  const void* key = files.empty() ? nullptr : &files[0];
-  if (key == cache_key_ && cache_.size() == files.size()) return;
-  cache_key_ = key;
-  cache_.clear();
-  cache_.reserve(files.size());
-  const std::vector<std::vector<double>> no_probabilities;
-  for (const AnnotatedFile& file : files) {
-    FileCache entry;
-    entry.line_features =
-        ExtractLineFeatures(file.table, options_.line_features);
-    entry.cell_features = ExtractCellFeatures(file.table, no_probabilities,
-                                              options_.features);
-    entry.coords = NonEmptyCellCoordinates(file.table);
-    cache_.push_back(std::move(entry));
-  }
-}
-
-void StrudelCellAlgo::FillProbabilities(
-    ml::Matrix& features, const std::vector<std::pair<int, int>>& coords,
-    const std::vector<std::vector<double>>& probabilities) const {
-  if (!options_.use_line_probabilities) return;
-  for (size_t i = 0; i < coords.size(); ++i) {
-    const int r = coords[i].first;
-    if (static_cast<size_t>(r) >= probabilities.size()) continue;
-    const auto& proba = probabilities[static_cast<size_t>(r)];
-    for (int k = 0; k < kNumElementClasses; ++k) {
-      features.at(i, proba_col_begin_ + static_cast<size_t>(k)) =
-          static_cast<size_t>(k) < proba.size()
-              ? proba[static_cast<size_t>(k)]
-              : 0.0;
-    }
-  }
-}
-
-std::unique_ptr<ml::Classifier> StrudelCellAlgo::TrainLineModel(
-    const std::vector<AnnotatedFile>& files,
-    const std::vector<size_t>& indices) const {
-  ml::Dataset data;
-  data.num_classes = kNumElementClasses;
-  for (size_t idx : indices) {
-    const AnnotatedFile& file = files[idx];
-    const ml::Matrix& features = cache_[idx].line_features;
-    for (int r = 0; r < file.table.num_rows(); ++r) {
-      const int label = file.annotation.line_labels[static_cast<size_t>(r)];
-      if (label == kEmptyLabel) continue;
-      data.features.append_row(features.row(static_cast<size_t>(r)));
-      data.labels.push_back(label);
-      data.groups.push_back(static_cast<int>(idx));
-    }
-  }
-  auto model = std::make_unique<ml::RandomForest>(options_.line_forest);
-  if (data.size() == 0 || !model->Fit(data).ok()) return nullptr;
-  return model;
-}
-
-std::vector<std::vector<double>> StrudelCellAlgo::LineProbabilities(
-    const ml::Classifier& line_model, const AnnotatedFile& file,
-    const ml::Matrix& line_features) const {
-  std::vector<std::vector<double>> out(
-      static_cast<size_t>(file.table.num_rows()),
-      std::vector<double>(kNumElementClasses, 0.0));
-  for (int r = 0; r < file.table.num_rows(); ++r) {
-    if (file.table.row_empty(r)) continue;
-    out[static_cast<size_t>(r)] =
-        line_model.PredictProba(line_features.row(static_cast<size_t>(r)));
-  }
-  return out;
-}
+    : options_(std::move(options)), model_(options_.model) {}
 
 Status StrudelCellAlgo::Fit(const std::vector<AnnotatedFile>& files,
                             const std::vector<size_t>& train_indices) {
-  EnsureCache(files);
-  if (train_indices.empty()) {
-    return Status::InvalidArgument("strudel_cell_algo: empty training fold");
-  }
-
-  // Line stage for prediction time: trained on the full training fold.
-  line_model_ = TrainLineModel(files, train_indices);
-  if (line_model_ == nullptr) {
-    return Status::Internal("strudel_cell_algo: line stage failed");
-  }
-
-  // Training-time probabilities: 2-fold cross-fit over the training files
-  // (each half is scored by a model trained on the other half).
-  std::vector<std::vector<std::vector<double>>> probabilities(files.size());
-  if (options_.use_line_probabilities) {
-    std::vector<size_t> shuffled = train_indices;
-    Rng rng(options_.seed);
-    rng.Shuffle(shuffled);
-    const size_t half = shuffled.size() / 2;
-    std::vector<size_t> first(shuffled.begin(), shuffled.begin() + half);
-    std::vector<size_t> second(shuffled.begin() + half, shuffled.end());
-    const bool cross_fit = !options_.in_sample_probabilities &&
-                           !first.empty() && !second.empty();
-    if (cross_fit) {
-      auto model_a = TrainLineModel(files, first);
-      auto model_b = TrainLineModel(files, second);
-      if (model_a == nullptr || model_b == nullptr) {
-        return Status::Internal("strudel_cell_algo: cross-fit failed");
-      }
-      for (size_t idx : first) {
-        probabilities[idx] = LineProbabilities(*model_b, files[idx],
-                                               cache_[idx].line_features);
-      }
-      for (size_t idx : second) {
-        probabilities[idx] = LineProbabilities(*model_a, files[idx],
-                                               cache_[idx].line_features);
-      }
-    } else {
-      for (size_t idx : train_indices) {
-        probabilities[idx] = LineProbabilities(*line_model_, files[idx],
-                                               cache_[idx].line_features);
-      }
-    }
-  }
-
-  // Cell stage.
-  ml::Dataset data;
-  data.num_classes = kNumElementClasses;
-  data.feature_names = CellFeatureNames();
-  for (size_t idx : train_indices) {
-    const AnnotatedFile& file = files[idx];
-    ml::Matrix features = cache_[idx].cell_features;
-    if (options_.use_line_probabilities) {
-      FillProbabilities(features, cache_[idx].coords, probabilities[idx]);
-    }
-    for (size_t i = 0; i < cache_[idx].coords.size(); ++i) {
-      const auto [r, c] = cache_[idx].coords[i];
-      const int label = file.annotation.cell_labels[static_cast<size_t>(r)]
-                                                   [static_cast<size_t>(c)];
-      if (label == kEmptyLabel) continue;
-      data.features.append_row(features.row(i));
-      data.labels.push_back(label);
-      data.groups.push_back(static_cast<int>(idx));
-    }
-  }
-  if (data.size() == 0) {
-    return Status::InvalidArgument(
-        "strudel_cell_algo: no labelled cells in training fold");
-  }
-  normalizer_.FitTransform(data.features);
-  cell_model_ = options_.backbone_prototype
-                    ? options_.backbone_prototype->CloneUntrained()
-                    : std::make_unique<ml::RandomForest>(options_.forest);
-  return cell_model_->Fit(data);
+  model_ = StrudelCell(options_.model);
+  return model_.Fit(FilePointers(files, train_indices));
 }
 
 std::vector<std::vector<int>> StrudelCellAlgo::Predict(
     const std::vector<AnnotatedFile>& files, size_t file_index) {
-  EnsureCache(files);
-  const AnnotatedFile& file = files[file_index];
-  std::vector<std::vector<int>> out(
-      static_cast<size_t>(file.table.num_rows()),
-      std::vector<int>(static_cast<size_t>(file.table.num_cols()),
-                       kEmptyLabel));
-  if (cell_model_ == nullptr || line_model_ == nullptr) return out;
-
-  ml::Matrix features = cache_[file_index].cell_features;
-  if (options_.use_line_probabilities) {
-    const auto probabilities = LineProbabilities(
-        *line_model_, file, cache_[file_index].line_features);
-    FillProbabilities(features, cache_[file_index].coords, probabilities);
-  }
-  normalizer_.Transform(features);
-  for (size_t i = 0; i < cache_[file_index].coords.size(); ++i) {
-    const auto [r, c] = cache_[file_index].coords[i];
-    out[static_cast<size_t>(r)][static_cast<size_t>(c)] =
-        cell_model_->Predict(features.row(i));
-  }
-  return out;
+  // Cannot fail without a budget.
+  return model_.TryPredict(files[file_index].table).value().classes;
 }
 
 // ---------------------------------------------------------------------------

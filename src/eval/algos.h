@@ -1,8 +1,9 @@
 // Adapters binding the library's classifiers to the experiment harness
-// (eval/experiment.h). The Strudel adapters cache per-file feature
-// matrices across folds and repetitions — features are file-local, so a
-// corpus is featurised exactly once per experiment regardless of the CV
-// protocol.
+// (eval/experiment.h). Each adapter builds a fresh model per CV fold and
+// trains it on that fold's files; the Strudel adapters run the production
+// StrudelLine / StrudelCell, so every paper table scores the code that
+// `strudel train`, `classify`, `batch` and `serve` run. No adapter caches
+// features across folds.
 
 #ifndef STRUDEL_EVAL_ALGOS_H_
 #define STRUDEL_EVAL_ALGOS_H_
@@ -16,21 +17,19 @@
 #include "baselines/pytheas_line.h"
 #include "baselines/rnn_cell.h"
 #include "eval/experiment.h"
+#include "ml/classifier.h"
 #include "ml/normalizer.h"
 #include "strudel/strudel_cell.h"
 #include "strudel/strudel_line.h"
 
 namespace strudel::eval {
 
-/// Strudel^L under CV, with cached per-file features. The backbone is a
-/// random forest unless a prototype is supplied (classifier ablation).
+/// Strudel^L under CV: a StrudelLine per fold.
 class StrudelLineAlgo final : public LineAlgo {
  public:
   struct Options {
     std::string display_name = "Strudel^L";
-    LineFeatureOptions features;
-    ml::RandomForestOptions forest;
-    std::shared_ptr<const ml::Classifier> backbone_prototype;
+    StrudelLineOptions model;
   };
   StrudelLineAlgo() : StrudelLineAlgo(Options()) {}
   explicit StrudelLineAlgo(Options options);
@@ -41,16 +40,30 @@ class StrudelLineAlgo final : public LineAlgo {
   std::vector<int> Predict(const std::vector<AnnotatedFile>& files,
                            size_t file_index) override;
 
-  /// Per-line class probabilities of one file under the current model.
-  std::vector<std::vector<double>> PredictProba(
-      const std::vector<AnnotatedFile>& files, size_t file_index) const;
+ private:
+  Options options_;
+  StrudelLine model_;
+};
+
+/// Strudel^L's feature pipeline with another backbone classifier, for the
+/// classifier-choice ablation (§6.1.2): default line features, min-max
+/// normalisation, then CloneUntrained() of `backbone` per fold,
+/// predicting row by row.
+class BackboneLineAlgo final : public LineAlgo {
+ public:
+  BackboneLineAlgo(std::string display_name,
+                   std::shared_ptr<const ml::Classifier> backbone);
+
+  std::string name() const override { return display_name_; }
+  Status Fit(const std::vector<AnnotatedFile>& files,
+             const std::vector<size_t>& train_indices) override;
+  std::vector<int> Predict(const std::vector<AnnotatedFile>& files,
+                           size_t file_index) override;
 
  private:
-  void EnsureCache(const std::vector<AnnotatedFile>& files);
-
-  Options options_;
-  const void* cache_key_ = nullptr;
-  std::vector<ml::Matrix> file_features_;
+  std::string display_name_;
+  std::shared_ptr<const ml::Classifier> backbone_;
+  LineFeatureOptions features_;
   std::unique_ptr<ml::Classifier> model_;
   ml::MinMaxNormalizer normalizer_;
 };
@@ -86,22 +99,13 @@ class PytheasLineAlgo final : public LineAlgo {
   std::unique_ptr<baselines::PytheasLine> model_;
 };
 
-/// Strudel^C under CV, with cached per-file cell features; the line-
-/// probability block is rewritten per fold from a cross-fitted Strudel^L.
+/// Strudel^C under CV: a StrudelCell per fold, cross-fitting its
+/// training-time line probabilities over `model.line_cross_fit_folds`.
 class StrudelCellAlgo final : public CellAlgo {
  public:
   struct Options {
     std::string display_name = "Strudel^C";
-    CellFeatureOptions features;
-    LineFeatureOptions line_features;
-    ml::RandomForestOptions forest;       // cell-stage forest
-    ml::RandomForestOptions line_forest;  // line-stage forest
-    /// Disable the LineClassProbability block (feature ablation).
-    bool use_line_probabilities = true;
-    /// Use in-sample training probabilities instead of 2-fold cross-fit.
-    bool in_sample_probabilities = false;
-    std::shared_ptr<const ml::Classifier> backbone_prototype;
-    uint64_t seed = 42;
+    StrudelCellOptions model;
   };
   StrudelCellAlgo() : StrudelCellAlgo(Options()) {}
   explicit StrudelCellAlgo(Options options);
@@ -113,32 +117,8 @@ class StrudelCellAlgo final : public CellAlgo {
       const std::vector<AnnotatedFile>& files, size_t file_index) override;
 
  private:
-  struct FileCache {
-    ml::Matrix line_features;
-    ml::Matrix cell_features;  // probability block zeroed
-    std::vector<std::pair<int, int>> coords;
-  };
-  void EnsureCache(const std::vector<AnnotatedFile>& files);
-  // Writes `probabilities` (per line) into the probability block of
-  // `features` rows (aligned with `coords`).
-  void FillProbabilities(ml::Matrix& features,
-                         const std::vector<std::pair<int, int>>& coords,
-                         const std::vector<std::vector<double>>&
-                             probabilities) const;
-  std::unique_ptr<ml::Classifier> TrainLineModel(
-      const std::vector<AnnotatedFile>& files,
-      const std::vector<size_t>& indices) const;
-  std::vector<std::vector<double>> LineProbabilities(
-      const ml::Classifier& line_model, const AnnotatedFile& file,
-      const ml::Matrix& line_features) const;
-
   Options options_;
-  const void* cache_key_ = nullptr;
-  std::vector<FileCache> cache_;
-  size_t proba_col_begin_ = 0;
-  std::unique_ptr<ml::Classifier> line_model_;
-  std::unique_ptr<ml::Classifier> cell_model_;
-  ml::MinMaxNormalizer normalizer_;
+  StrudelCell model_;
 };
 
 /// Line^C baseline under CV: extends StrudelLineAlgo predictions to cells.

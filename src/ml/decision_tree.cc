@@ -273,9 +273,12 @@ Status DecisionTree::Load(std::istream& in) {
           "decision tree: node distribution size mismatch");
     }
     node.distribution.resize(dist_size);
+    // Fit writes each entry as a count ratio c/n <= 1, and Save's 17
+    // digits read back exactly, so an entry outside [0, 1] is corrupt
+    // (the forest's early-exit vote relies on the bound).
     for (double& p : node.distribution) {
       in >> p;
-      if (!in || !std::isfinite(p) || p < 0.0 || p > 1.0 + 1e-9) {
+      if (!in || !std::isfinite(p) || p < 0.0 || p > 1.0) {
         return Status::CorruptModel(
             "decision tree: invalid class distribution");
       }

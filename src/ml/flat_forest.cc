@@ -73,7 +73,6 @@ void FlatForest::Clear() {
   num_trees_ = 0;
   num_features_ = 0;
   num_leaves_ = 0;
-  vote_can_exit_ = true;
   roots_.clear();
   nodes_.clear();
   leaf_proba_.clear();
@@ -94,7 +93,6 @@ int32_t FlatForest::AddLeaf(std::span<const double> distribution,
     } else if (p == 0.0 && !std::signbit(p)) {
       ++zeros;
     }
-    if (!(p >= 0.0 && p <= 1.0)) vote_can_exit_ = false;
   }
   const bool pure = ones == 1 && zeros == k - 1;
   if (pure && class_rows[one_at] >= 0) return class_rows[one_at];
@@ -194,7 +192,7 @@ void FlatForest::PredictBlock(const Matrix& features, size_t row_begin,
 
 bool FlatForest::Settled(const double* acc, size_t walked) const {
   const size_t trees = static_cast<size_t>(num_trees_);
-  if (!vote_can_exit_ || 2 * walked <= trees) return false;
+  if (2 * walked <= trees) return false;
   const size_t k = static_cast<size_t>(num_classes_);
   // Accumulators are >= +0.0, so 0.0 is a safe runner-up for k == 1.
   double lead = acc[0];

@@ -43,10 +43,11 @@
 // row stops when (L - R) - r > delta, with delta = T^2 * 2^-50, computed
 // in that order in doubles; no row can stop before w > T/2, so the check
 // starts there. The exit is exact, not approximate. Write u = 2^-53.
-//  1. Every leaf entry is in [0, 1] (Build checks this and turns the exit
-//     off for a forest that breaks it), so an accumulator after w adds is
-//     at most w <= T: each rounded add is monotone and w is exact. Each
-//     add therefore rounds by at most T*u.
+//  1. Every leaf entry is in [0, 1]: DecisionTree::Fit writes each as a
+//     count ratio c/n, and DecisionTree::Load rejects an entry outside
+//     [0, 1], so every forest Build sees meets this. An accumulator after
+//     w adds is then at most w <= T: each rounded add is monotone and w
+//     is exact. Each add therefore rounds by at most T*u.
 //  2. The check's two subtractions round by at most T*u each, so a
 //     passing check means L - R - r > delta - 2*T*u exactly.
 //  3. Over the r remaining adds the leader's final sum is at least
@@ -171,9 +172,6 @@ class FlatForest {
   int num_trees_ = 0;
   size_t num_features_ = 0;
   size_t num_leaves_ = 0;
-  /// True when every leaf entry lies in [0, 1], the premise of the early
-  /// exit; VoteBlock walks every tree otherwise.
-  bool vote_can_exit_ = true;
   /// Per-tree root reference: internal-node index or ~leaf_row.
   std::vector<int32_t> roots_;
   /// Packed internal nodes, breadth-first per tree, tree ranges

@@ -82,7 +82,7 @@ class RandomForest final : public Classifier {
 
   /// Re-pins the worker count for the bulk predict paths (results are
   /// identical at any value). The strudel layer propagates its own
-  /// --threads setting here after fitting or loading a backbone.
+  /// --threads setting here after fitting or loading a forest.
   void set_num_threads(int num_threads) { options_.num_threads = num_threads; }
   int num_threads() const { return options_.num_threads; }
 

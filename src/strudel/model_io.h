@@ -1,7 +1,6 @@
 // Model persistence: save trained Strudel^L / Strudel^C models to disk
 // and restore them without retraining. The on-disk format is versioned,
-// line-oriented text; only the random-forest backbone is serialisable
-// (alternative backbones exist for ablations only).
+// line-oriented text.
 //
 // Feature-extraction options (windows, derived-detector parameters,
 // global-feature flag) are stored alongside the forests so a loaded model
@@ -21,8 +20,7 @@
 
 namespace strudel {
 
-/// Serialises a trained Strudel^L model. Fails on unfitted models and on
-/// non-forest backbones.
+/// Serialises a trained Strudel^L model. Fails on unfitted models.
 Status SaveModel(const StrudelLine& model, std::ostream& out);
 Status SaveModelToFile(const StrudelLine& model, const std::string& path);
 

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "common/rng.h"
-#include "common/thread_pool.h"
 #include "common/trace.h"
 #include "strudel/options_io.h"
 #include "strudel/section_io.h"
@@ -172,13 +171,9 @@ Status StrudelCell::Fit(const std::vector<const AnnotatedFile*>& files) {
   // Quarantine non-finite feature columns before normalisation/training.
   fit_quarantine_ = ml::QuarantineNonFiniteColumns(data.features);
   normalizer_.FitTransform(data.features);
-  if (options_.backbone_prototype != nullptr) {
-    model_ = options_.backbone_prototype->CloneUntrained();
-  } else {
-    ml::RandomForestOptions forest_options = options_.forest;
-    forest_options.budget = options_.budget;
-    model_ = std::make_unique<ml::RandomForest>(std::move(forest_options));
-  }
+  ml::RandomForestOptions forest_options = options_.forest;
+  forest_options.budget = options_.budget;
+  model_ = std::make_unique<ml::RandomForest>(std::move(forest_options));
   Status status = model_->Fit(data);
   // A failed training run (budget exhaustion, invalid features) must not
   // leave a half-trained model claiming to be fitted.
@@ -186,11 +181,9 @@ Status StrudelCell::Fit(const std::vector<const AnnotatedFile*>& files) {
     model_.reset();
     return status;
   }
-  // The bulk predict path parallelises inside the forest now, so the
+  // The bulk predict path parallelises inside the forest, so the
   // strudel-level --threads setting has to reach it.
-  if (auto* forest = dynamic_cast<ml::RandomForest*>(model_.get())) {
-    forest->set_num_threads(options_.num_threads);
-  }
+  model_->set_num_threads(options_.num_threads);
   return status;
 }
 
@@ -208,9 +201,7 @@ void StrudelCell::set_num_threads(int num_threads) {
   options_.line.num_threads = num_threads;
   options_.line.forest.num_threads = num_threads;
   line_model_.set_num_threads(num_threads);
-  if (auto* forest = dynamic_cast<ml::RandomForest*>(model_.get())) {
-    forest->set_num_threads(num_threads);
-  }
+  if (model_ != nullptr) model_->set_num_threads(num_threads);
 }
 
 Status StrudelCell::SaveTo(std::ostream& out) const {
@@ -220,11 +211,6 @@ Status StrudelCell::SaveTo(std::ostream& out) const {
   if (options_.use_column_probabilities) {
     return Status::Unimplemented(
         "strudel_cell: column-probability models are not serialisable");
-  }
-  const auto* forest = dynamic_cast<const ml::RandomForest*>(model_.get());
-  if (forest == nullptr) {
-    return Status::Unimplemented(
-        "strudel_cell: only random-forest backbones are serialisable");
   }
   out << "strudel_cell v2\n";
   std::ostringstream options_payload;
@@ -247,7 +233,7 @@ Status StrudelCell::SaveTo(std::ostream& out) const {
 
   std::ostringstream forest_payload;
   forest_payload.precision(17);
-  STRUDEL_RETURN_IF_ERROR(forest->Save(forest_payload));
+  STRUDEL_RETURN_IF_ERROR(model_->Save(forest_payload));
   internal_model_io::WriteSection(out, "forest", forest_payload.str());
   if (!out) return Status::IOError("strudel_cell: write failed");
   return Status::OK();
@@ -323,7 +309,6 @@ Status StrudelCell::LoadFrom(std::istream& in) {
   forest->set_num_threads(options_.num_threads);
   options_.features = features_options;
   options_.use_column_probabilities = false;
-  options_.backbone_prototype = nullptr;
   line_model_ = std::move(line_model);
   normalizer_ = std::move(normalizer);
   model_ = std::move(forest);
@@ -360,38 +345,16 @@ Result<CellPrediction> StrudelCell::TryPredict(const csv::Table& table,
   STRUDEL_TRACE_SPAN("forest.predict");
   if (coords.empty()) return prediction;
   // The feature matrix has one row per non-empty cell, already in coords
-  // order, so the forest backbone classifies the whole batch through the
-  // flat engine and the classes scatter back onto the grid.
-  if (const auto* forest =
-          dynamic_cast<const ml::RandomForest*>(model_.get())) {
-    std::vector<int> classes;
-    STRUDEL_RETURN_IF_ERROR(
-        forest->TryPredictAll(features, budget, "cell_predict", &classes));
-    for (size_t i = 0; i < coords.size(); ++i) {
-      const auto [r, c] = coords[i];
-      prediction.classes[static_cast<size_t>(r)][static_cast<size_t>(c)] =
-          classes[i];
-    }
-    return prediction;
+  // order, so the forest classifies the whole batch through the flat
+  // engine and the classes scatter back onto the grid.
+  std::vector<int> classes;
+  STRUDEL_RETURN_IF_ERROR(
+      model_->TryPredictAll(features, budget, "cell_predict", &classes));
+  for (size_t i = 0; i < coords.size(); ++i) {
+    const auto [r, c] = coords[i];
+    prediction.classes[static_cast<size_t>(r)][static_cast<size_t>(c)] =
+        classes[i];
   }
-  // Non-forest backbones keep the per-cell path. Each cell writes only
-  // its own grid slot, so the prediction is bit-identical at any thread
-  // count.
-  constexpr size_t kPredictCellChunk = 64;
-  auto predict_chunk = [&](size_t chunk_begin, size_t chunk_end) -> Status {
-    for (size_t i = chunk_begin; i < chunk_end; ++i) {
-      if (budget != nullptr) {
-        STRUDEL_RETURN_IF_ERROR(budget->Charge("cell_predict", 1));
-      }
-      const auto [r, c] = coords[i];
-      prediction.classes[static_cast<size_t>(r)][static_cast<size_t>(c)] =
-          model_->Predict(features.row(i));
-    }
-    return Status::OK();
-  };
-  STRUDEL_RETURN_IF_ERROR(ParallelFor(options_.num_threads, 0, coords.size(),
-                                      kPredictCellChunk, predict_chunk,
-                                      budget));
   return prediction;
 }
 

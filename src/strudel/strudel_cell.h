@@ -34,8 +34,6 @@ struct StrudelCellOptions {
   /// the line model once and uses in-sample probabilities.
   int line_cross_fit_folds = 3;
   uint64_t seed = 42;
-  /// Optional backbone override (ablation).
-  std::shared_ptr<const ml::Classifier> backbone_prototype;
   /// Extension (paper future work iii): train a column classifier and
   /// feed its per-column probabilities as additional cell features. Not
   /// serialisable via model_io.
@@ -44,11 +42,12 @@ struct StrudelCellOptions {
   /// forest training charge against it and abort with its sticky Status
   /// once exhausted.
   std::shared_ptr<ExecutionBudget> budget;
-  /// Workers for cell featurisation and the per-cell inference loop (0 =
-  /// hardware concurrency, 1 = exact serial path). Runtime-only — never
-  /// serialised with the model — and results are identical at any value.
-  /// The forest and the line stage carry their own thread counts;
-  /// set_num_threads() sets all of them.
+  /// Workers for cell featurisation and, once fitted, the forest's
+  /// batched inference (0 = hardware concurrency, 1 = exact serial path).
+  /// Runtime-only — never serialised with the model — and results are
+  /// identical at any value. Training uses `forest.num_threads`, and the
+  /// line stage carries its own counts; set_num_threads() sets all of
+  /// them.
   int num_threads = 0;
 };
 
@@ -111,7 +110,7 @@ class StrudelCell {
 
   bool fitted() const { return model_ != nullptr; }
   const StrudelLine& line_model() const { return line_model_; }
-  const ml::Classifier& model() const { return *model_; }
+  const ml::RandomForest& model() const { return *model_; }
   const StrudelCellOptions& options() const { return options_; }
 
   /// Sets the worker count for both stages' featurisation, inference and
@@ -120,8 +119,8 @@ class StrudelCell {
   /// LoadFrom, whose options predate the caller's runtime choice.
   void set_num_threads(int num_threads);
 
-  /// Serialises the trained two-stage model (random-forest backbones
-  /// only) / restores it. See strudel/model_io.h for file-level helpers.
+  /// Serialises the trained two-stage model / restores it. See
+  /// strudel/model_io.h for file-level helpers.
   Status SaveTo(std::ostream& out) const;
   Status LoadFrom(std::istream& in);
 
@@ -134,7 +133,7 @@ class StrudelCell {
   StrudelCellOptions options_;
   StrudelLine line_model_;
   StrudelColumn column_model_;
-  std::unique_ptr<ml::Classifier> model_;
+  std::unique_ptr<ml::RandomForest> model_;
   ml::MinMaxNormalizer normalizer_;
   ml::NonFiniteReport fit_quarantine_;
 };

@@ -4,7 +4,6 @@
 #include <string>
 #include <utility>
 
-#include "common/thread_pool.h"
 #include "common/trace.h"
 #include "strudel/options_io.h"
 #include "strudel/section_io.h"
@@ -71,13 +70,9 @@ Status StrudelLine::Fit(const std::vector<const AnnotatedFile*>& files) {
   // available for diagnostics.
   fit_quarantine_ = ml::QuarantineNonFiniteColumns(data.features);
   normalizer_.FitTransform(data.features);
-  if (options_.backbone_prototype != nullptr) {
-    model_ = options_.backbone_prototype->CloneUntrained();
-  } else {
-    ml::RandomForestOptions forest_options = options_.forest;
-    forest_options.budget = options_.budget;
-    model_ = std::make_unique<ml::RandomForest>(std::move(forest_options));
-  }
+  ml::RandomForestOptions forest_options = options_.forest;
+  forest_options.budget = options_.budget;
+  model_ = std::make_unique<ml::RandomForest>(std::move(forest_options));
   Status status = model_->Fit(data);
   // A failed training run (budget exhaustion, invalid features) must not
   // leave a half-trained model claiming to be fitted.
@@ -85,30 +80,21 @@ Status StrudelLine::Fit(const std::vector<const AnnotatedFile*>& files) {
     model_.reset();
     return status;
   }
-  // The bulk predict path parallelises inside the forest now, so the
+  // The bulk predict path parallelises inside the forest, so the
   // strudel-level --threads setting has to reach it.
-  if (auto* forest = dynamic_cast<ml::RandomForest*>(model_.get())) {
-    forest->set_num_threads(options_.num_threads);
-  }
+  model_->set_num_threads(options_.num_threads);
   return status;
 }
 
 void StrudelLine::set_num_threads(int num_threads) {
   options_.num_threads = num_threads;
   options_.forest.num_threads = num_threads;
-  if (auto* forest = dynamic_cast<ml::RandomForest*>(model_.get())) {
-    forest->set_num_threads(num_threads);
-  }
+  if (model_ != nullptr) model_->set_num_threads(num_threads);
 }
 
 Status StrudelLine::SaveTo(std::ostream& out) const {
   if (model_ == nullptr) {
     return Status::FailedPrecondition("strudel_line: model not fitted");
-  }
-  const auto* forest = dynamic_cast<const ml::RandomForest*>(model_.get());
-  if (forest == nullptr) {
-    return Status::Unimplemented(
-        "strudel_line: only random-forest backbones are serialisable");
   }
   out << "strudel_line v2\n";
   std::ostringstream options_payload;
@@ -125,7 +111,7 @@ Status StrudelLine::SaveTo(std::ostream& out) const {
 
   std::ostringstream forest_payload;
   forest_payload.precision(17);
-  STRUDEL_RETURN_IF_ERROR(forest->Save(forest_payload));
+  STRUDEL_RETURN_IF_ERROR(model_->Save(forest_payload));
   internal_model_io::WriteSection(out, "forest", forest_payload.str());
   if (!out) return Status::IOError("strudel_line: write failed");
   return Status::OK();
@@ -191,7 +177,6 @@ Status StrudelLine::LoadFrom(std::istream& in) {
 
   forest->set_num_threads(options_.num_threads);
   options_.features = features_options;
-  options_.backbone_prototype = nullptr;
   normalizer_ = std::move(normalizer);
   model_ = std::move(forest);
   return Status::OK();
@@ -222,8 +207,7 @@ Result<LinePrediction> StrudelLine::TryPredict(const csv::Table& table,
                           options_.num_threads));
   normalizer_.Transform(features);
   // Empty lines carry no class and are never charged, so gather the
-  // non-empty rows and batch them through the forest's flat engine. The
-  // per-row fallback below covers non-forest backbones.
+  // non-empty rows and batch them through the forest's flat engine.
   std::vector<size_t> live;
   live.reserve(static_cast<size_t>(rows));
   for (int r = 0; r < rows; ++r) {
@@ -231,40 +215,15 @@ Result<LinePrediction> StrudelLine::TryPredict(const csv::Table& table,
   }
   STRUDEL_TRACE_SPAN("forest.predict");
   if (live.empty()) return prediction;
-  if (const auto* forest =
-          dynamic_cast<const ml::RandomForest*>(model_.get())) {
-    const ml::Matrix gathered = features.select_rows(live);
-    std::vector<std::vector<double>> probas;
-    STRUDEL_RETURN_IF_ERROR(
-        forest->TryPredictProbaAll(gathered, budget, "line_predict",
-                                   &probas));
-    for (size_t j = 0; j < live.size(); ++j) {
-      const size_t ri = live[j];
-      prediction.classes[ri] = static_cast<int>(ArgMax(probas[j]));
-      prediction.probabilities[ri] = std::move(probas[j]);
-    }
-    return prediction;
+  const ml::Matrix gathered = features.select_rows(live);
+  std::vector<std::vector<double>> probas;
+  STRUDEL_RETURN_IF_ERROR(
+      model_->TryPredictProbaAll(gathered, budget, "line_predict", &probas));
+  for (size_t j = 0; j < live.size(); ++j) {
+    const size_t ri = live[j];
+    prediction.classes[ri] = static_cast<int>(ArgMax(probas[j]));
+    prediction.probabilities[ri] = std::move(probas[j]);
   }
-  // Each line writes only its own prediction slot, so the output is
-  // bit-identical at any thread count.
-  constexpr size_t kPredictLineChunk = 16;
-  auto predict_chunk = [&](size_t chunk_begin, size_t chunk_end) -> Status {
-    for (size_t ri = chunk_begin; ri < chunk_end; ++ri) {
-      const int r = static_cast<int>(ri);
-      if (table.row_empty(r)) continue;
-      if (budget != nullptr) {
-        STRUDEL_RETURN_IF_ERROR(budget->Charge("line_predict", 1));
-      }
-      std::vector<double> proba = model_->PredictProba(features.row(ri));
-      prediction.classes[ri] = static_cast<int>(ArgMax(proba));
-      prediction.probabilities[ri] = std::move(proba);
-    }
-    return Status::OK();
-  };
-  STRUDEL_RETURN_IF_ERROR(ParallelFor(options_.num_threads, 0,
-                                      static_cast<size_t>(rows),
-                                      kPredictLineChunk, predict_chunk,
-                                      budget));
   return prediction;
 }
 

@@ -15,7 +15,6 @@
 #include "common/execution_budget.h"
 #include "common/result.h"
 #include "common/status.h"
-#include "ml/classifier.h"
 #include "ml/dataset.h"
 #include "ml/normalizer.h"
 #include "ml/random_forest.h"
@@ -27,18 +26,14 @@ namespace strudel {
 struct StrudelLineOptions {
   LineFeatureOptions features;
   ml::RandomForestOptions forest;
-  /// Optional backbone override for the classifier-choice ablation
-  /// (§6.1.2). When set, CloneUntrained() of this prototype is trained
-  /// instead of a random forest.
-  std::shared_ptr<const ml::Classifier> backbone_prototype;
   /// Optional execution budget for Fit: featurisation and forest training
   /// charge against it and abort with its sticky Status once exhausted.
   std::shared_ptr<ExecutionBudget> budget;
-  /// Workers for featurisation and the per-line inference loop (0 =
-  /// hardware concurrency, 1 = exact serial path). Runtime-only — never
-  /// serialised with the model — and results are identical at any value.
-  /// The forest has its own `forest.num_threads`; set_num_threads() sets
-  /// both.
+  /// Workers for featurisation and, once fitted, the forest's batched
+  /// inference (0 = hardware concurrency, 1 = exact serial path).
+  /// Runtime-only — never serialised with the model — and results are
+  /// identical at any value. Training uses `forest.num_threads`;
+  /// set_num_threads() sets both.
   int num_threads = 0;
 };
 
@@ -86,7 +81,7 @@ class StrudelLine {
   }
 
   bool fitted() const { return model_ != nullptr; }
-  const ml::Classifier& model() const { return *model_; }
+  const ml::RandomForest& model() const { return *model_; }
   const StrudelLineOptions& options() const { return options_; }
 
   /// Sets the worker count for featurisation, inference and the forest
@@ -95,14 +90,14 @@ class StrudelLine {
   /// whose options predate the caller's runtime choice.
   void set_num_threads(int num_threads);
 
-  /// Serialises the trained model (random-forest backbone only) /
-  /// restores it. See strudel/model_io.h for file-level helpers.
+  /// Serialises the trained model / restores it. See strudel/model_io.h
+  /// for file-level helpers.
   Status SaveTo(std::ostream& out) const;
   Status LoadFrom(std::istream& in);
 
  private:
   StrudelLineOptions options_;
-  std::unique_ptr<ml::Classifier> model_;
+  std::unique_ptr<ml::RandomForest> model_;
   ml::MinMaxNormalizer normalizer_;
   ml::NonFiniteReport fit_quarantine_;
 };

@@ -22,17 +22,17 @@ std::vector<size_t> AllButLast(size_t n) {
 
 StrudelLineAlgo::Options FastLine() {
   StrudelLineAlgo::Options options;
-  options.forest.num_trees = 12;
-  options.forest.num_threads = 2;
+  options.model.forest.num_trees = 12;
+  options.model.forest.num_threads = 2;
   return options;
 }
 
 StrudelCellAlgo::Options FastCell() {
   StrudelCellAlgo::Options options;
-  options.forest.num_trees = 10;
-  options.forest.num_threads = 2;
-  options.line_forest.num_trees = 10;
-  options.line_forest.num_threads = 2;
+  options.model.forest.num_trees = 10;
+  options.model.forest.num_threads = 2;
+  options.model.line.forest.num_trees = 10;
+  options.model.line.forest.num_threads = 2;
   return options;
 }
 
@@ -52,19 +52,6 @@ TEST(StrudelLineAlgoTest, FitPredictHeldOutFile) {
     if (predicted[r] == actual) ++correct;
   }
   EXPECT_GT(static_cast<double>(correct) / total, 0.6);
-}
-
-TEST(StrudelLineAlgoTest, PredictProbaShapes) {
-  auto corpus = SmallCorpus(72);
-  StrudelLineAlgo algo(FastLine());
-  ASSERT_TRUE(algo.Fit(corpus, AllButLast(corpus.size())).ok());
-  auto probabilities = algo.PredictProba(corpus, 0);
-  ASSERT_EQ(probabilities.size(),
-            static_cast<size_t>(corpus[0].table.num_rows()));
-  for (size_t r = 0; r < probabilities.size(); ++r) {
-    ASSERT_EQ(probabilities[r].size(),
-              static_cast<size_t>(kNumElementClasses));
-  }
 }
 
 TEST(StrudelLineAlgoTest, EmptyTrainingFoldRejected) {
@@ -94,16 +81,6 @@ TEST(StrudelCellAlgoTest, FitPredictGrid) {
     }
   }
   EXPECT_GT(static_cast<double>(correct) / total, 0.6);
-}
-
-TEST(StrudelCellAlgoTest, ProbabilityAblationStillTrains) {
-  auto corpus = SmallCorpus(75);
-  StrudelCellAlgo::Options options = FastCell();
-  options.use_line_probabilities = false;
-  StrudelCellAlgo algo(options);
-  ASSERT_TRUE(algo.Fit(corpus, AllButLast(corpus.size())).ok());
-  auto grid = algo.Predict(corpus, corpus.size() - 1);
-  EXPECT_FALSE(grid.empty());
 }
 
 TEST(LineCellAlgoTest, PredictionsConstantPerLine) {
@@ -149,16 +126,15 @@ TEST(CrfPytheasRnnAlgosTest, AllRunThroughHarnessInterface) {
             static_cast<size_t>(corpus[held_out].table.num_rows()));
 }
 
-TEST(StrudelLineAlgoTest, BackboneAblationUsesPrototype) {
+TEST(BackboneLineAlgoTest, BackboneAblationUsesPrototype) {
   auto corpus = SmallCorpus(78);
-  StrudelLineAlgo::Options options = FastLine();
-  options.display_name = "Strudel^L(NB)";
-  options.backbone_prototype = std::make_shared<ml::GaussianNaiveBayes>();
-  StrudelLineAlgo algo(options);
+  BackboneLineAlgo algo("Strudel^L(NB)",
+                        std::make_shared<ml::GaussianNaiveBayes>());
   EXPECT_EQ(algo.name(), "Strudel^L(NB)");
   ASSERT_TRUE(algo.Fit(corpus, AllButLast(corpus.size())).ok());
   auto predicted = algo.Predict(corpus, corpus.size() - 1);
-  EXPECT_FALSE(predicted.empty());
+  EXPECT_EQ(predicted.size(),
+            static_cast<size_t>(corpus.back().table.num_rows()));
 }
 
 }  // namespace

@@ -94,12 +94,12 @@ TEST(IntegrationTest, CvHarnessRanksStrudelAboveLineBaselineOnCells) {
   std::vector<AnnotatedFile> corpus = datagen::GenerateCorpus(profile, 83);
 
   eval::StrudelCellAlgo::Options cell_options;
-  cell_options.forest.num_trees = 12;
-  cell_options.line_forest.num_trees = 12;
+  cell_options.model.forest.num_trees = 12;
+  cell_options.model.line.forest.num_trees = 12;
   auto strudel_cell = std::make_shared<eval::StrudelCellAlgo>(cell_options);
 
   eval::StrudelLineAlgo::Options line_options;
-  line_options.forest.num_trees = 12;
+  line_options.model.forest.num_trees = 12;
   auto line_cell = std::make_shared<eval::LineCellAlgo>(line_options);
 
   eval::CvOptions cv;
@@ -165,7 +165,7 @@ TEST(IntegrationTest, TrainTestAcrossDatasets) {
   auto test = datagen::GenerateCorpus(
       datagen::ScaledProfile(datagen::TroyProfile(), 0.04, 0.8), 85);
   eval::StrudelLineAlgo::Options options;
-  options.forest.num_trees = 15;
+  options.model.forest.num_trees = 15;
   eval::StrudelLineAlgo algo(options);
   eval::EvalResult result = eval::TrainTestLine(train, test, algo);
   // Data lines must transfer across domains.

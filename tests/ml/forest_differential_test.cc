@@ -16,8 +16,9 @@
 // ml.forest_trees_walked count to the settle points replayed from the
 // trees: on the trained forests above, and on hand-built forests whose
 // margin equals the trees left before a tie, whose mixed leaves make
-// fractional near-ties, whose paired rows settle at different trees,
-// whose rows carry NaN, and whose leaves exceed 1 (no exit).
+// fractional near-ties, whose paired rows settle at different trees and
+// whose rows carry NaN. A forest whose leaves exceed 1, which the exit's
+// premise rules out, must fail to load.
 
 #include <gtest/gtest.h>
 
@@ -261,8 +262,8 @@ Stump Leaf(std::vector<double> distribution) {
   return Stump{0, 0.0, distribution, distribution};
 }
 
-// Loads a forest of stumps through RandomForest::Load ("forest v1").
-RandomForest ForestOfStumps(int num_classes, int num_features,
+// A forest of stumps in RandomForest::Load's format ("forest v1").
+std::string StumpForestText(int num_classes, int num_features,
                             const std::vector<Stump>& stumps) {
   std::ostringstream text;
   text.precision(17);
@@ -281,8 +282,14 @@ RandomForest ForestOfStumps(int num_classes, int num_features,
     leaf(stump.left);
     leaf(stump.right);
   }
+  return text.str();
+}
+
+// Loads a forest of stumps through RandomForest::Load.
+RandomForest ForestOfStumps(int num_classes, int num_features,
+                            const std::vector<Stump>& stumps) {
   RandomForest forest;
-  std::istringstream in(text.str());
+  std::istringstream in(StumpForestText(num_classes, num_features, stumps));
   const Status status = forest.Load(in);
   EXPECT_TRUE(status.ok()) << status.ToString();
   return forest;
@@ -313,27 +320,24 @@ TEST(ForestVoteTest, MarginEqualToTreesLeftBeforeATieKeepsWalking) {
   ExpectAgreementAtAllThreadCounts(forest, features);
 }
 
-TEST(ForestVoteTest, LeafEntriesAboveOneTurnTheExitOff) {
-  // DecisionTree::Load accepts leaf entries up to 1 + 1e-9, which breaks
-  // the exit's premise that a tree adds at most 1 to a class. After two
-  // of three trees class 1 leads 2 to 1 - 5e-10, past the one tree left
-  // by 5e-10, yet the last tree adds 1 + 8e-10 to class 0 and class 0
-  // wins 2 + 3e-10 to 2. Such a forest must walk every tree.
-  RandomForest forest =
-      ForestOfStumps(2, 1,
-                     {Leaf({0.5, 1.0}), Leaf({0.4999999995, 1.0}),
-                      Leaf({1.0000000008, 0.0})});
-  const Matrix features = Rows({{0.0}, {1.0}, {2.0}});
-  std::vector<int> classes;
-  const uint64_t before = TreesWalked();
-  ASSERT_TRUE(
-      forest.TryPredictAll(features, nullptr, "forest_predict", &classes)
-          .ok());
-  EXPECT_EQ(TreesWalked() - before, 3 * features.rows());
-  for (size_t i = 0; i < features.rows(); ++i) {
-    ASSERT_EQ(ArgMax(TreeOracleProba(forest, features.row(i))), 0u);
-    EXPECT_EQ(classes[i], 0) << "row " << i;
-  }
+TEST(ForestVoteTest, LeafEntriesAboveOneFailToLoad) {
+  // The exit's premise is that a tree adds at most 1 to a class. In this
+  // forest, after two of three trees class 1 leads 2 to 1 - 5e-10, past
+  // the one tree left by 5e-10, yet the last tree would add 1 + 8e-10 to
+  // class 0 and class 0 would win 2 + 3e-10 to 2. DecisionTree::Load
+  // rejects the entry above 1, so no such forest reaches the vote.
+  const auto load = [](double last_entry) {
+    RandomForest forest;
+    std::istringstream in(StumpForestText(
+        2, 1,
+        {Leaf({0.5, 1.0}), Leaf({0.4999999995, 1.0}),
+         Leaf({last_entry, 0.0})}));
+    return forest.Load(in);
+  };
+  EXPECT_EQ(load(1.0000000008).code(), StatusCode::kCorruptModel);
+  EXPECT_EQ(load(std::nextafter(1.0, 2.0)).code(),
+            StatusCode::kCorruptModel);
+  EXPECT_TRUE(load(1.0).ok());
 }
 
 TEST(ForestVoteTest, PairedLanesSettleAtDifferentTrees) {

@@ -9,7 +9,6 @@
 
 #include "common/rng.h"
 #include "datagen/corpus.h"
-#include "ml/naive_bayes.h"
 #include "strudel/section_io.h"
 #include "testing/model_corruptor.h"
 #include "testing/test_tables.h"
@@ -230,17 +229,6 @@ TEST(ModelIoTest, MissingFileRejected) {
   EXPECT_FALSE(LoadCellModelFromFile("/nonexistent/x.model").ok());
 }
 
-TEST(ModelIoTest, NonForestBackboneRejected) {
-  auto corpus = SmallCorpus(95);
-  StrudelLineOptions options = FastLine();
-  options.backbone_prototype = std::make_shared<ml::GaussianNaiveBayes>();
-  StrudelLine model(options);
-  ASSERT_TRUE(model.Fit(corpus).ok());
-  std::stringstream stream;
-  EXPECT_EQ(SaveModel(model, stream).code(), StatusCode::kUnimplemented);
-}
-
-
 // One trained model of each flavour, saved once and shared by the
 // model-file tests below.
 class SavedModelTest : public ::testing::Test {
@@ -395,14 +383,8 @@ TEST_F(SavedModelTest, SetNumThreadsReachesLoadedForests) {
   auto loaded = LoadCell(*cell_bytes_);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   loaded->set_num_threads(1);
-  const auto* cell_forest =
-      dynamic_cast<const ml::RandomForest*>(&loaded->model());
-  const auto* line_forest =
-      dynamic_cast<const ml::RandomForest*>(&loaded->line_model().model());
-  ASSERT_NE(cell_forest, nullptr);
-  ASSERT_NE(line_forest, nullptr);
-  EXPECT_EQ(cell_forest->num_threads(), 1);
-  EXPECT_EQ(line_forest->num_threads(), 1);
+  EXPECT_EQ(loaded->model().num_threads(), 1);
+  EXPECT_EQ(loaded->line_model().model().num_threads(), 1);
 }
 
 }  // namespace

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "datagen/corpus.h"
-#include "ml/naive_bayes.h"
 #include "testing/test_tables.h"
 
 namespace strudel {
@@ -101,17 +100,6 @@ TEST(StrudelLineTest, GeneralizesToHeldOutFiles) {
     }
   }
   EXPECT_GT(static_cast<double>(correct) / total, 0.8);
-}
-
-TEST(StrudelLineTest, AlternativeBackboneIsUsed) {
-  std::vector<AnnotatedFile> corpus = SmallCorpus(12);
-  StrudelLineOptions options = FastOptions();
-  options.backbone_prototype =
-      std::make_shared<ml::GaussianNaiveBayes>();
-  StrudelLine model(options);
-  ASSERT_TRUE(model.Fit(corpus).ok());
-  EXPECT_NE(dynamic_cast<const ml::GaussianNaiveBayes*>(&model.model()),
-            nullptr);
 }
 
 TEST(StrudelLineTest, PredictOnUnfittedModelIsEmptyLabels) {
